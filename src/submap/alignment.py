@@ -101,8 +101,3 @@ def _merge_clusters_into_nearest(partition: Partition, vectors: np.ndarray,
     assignments = _relabel(assignments)
     return Partition(assignments, cluster_centroids(vectors, assignments))
 
-
-def save_assignments(path, words, assignments: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for word, cid in zip(words, assignments):
-            f.write(f"{word}\t{cid}\n")

@@ -229,9 +229,10 @@ def kmeans(vectors: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> 
     return Partition(assignments, cluster_centroids(x, assignments))
 
 
-def save_partition(path, partition: Partition, words) -> None:
+def save_assignments(path, words, assignments: np.ndarray) -> None:
+    """Write one 'token<TAB>cluster_id' line per word, read by load_assignments."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for word, cid in zip(words, partition.assignments):
+        for word, cid in zip(words, assignments):
             f.write(f"{word}\t{cid}\n")
 
 

@@ -118,10 +118,12 @@ def save_embeddings(path, space: EmbeddingSpace) -> None:
     for w in space.words:
         if " " in w or "\n" in w:
             raise ParseError(f"token {w!r} contains whitespace and cannot be serialized")
+    # one %-template per row; '%.9g' % x is byte-identical to format(x, '.9g')
+    row_format = " ".join(["%.9g"] * space.dim) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{space.n} {space.dim}\n")
-        for word, row in zip(space.words, space.vectors):
-            f.write(word + " " + " ".join(f"{x:.9g}" for x in row) + "\n")
+        for word, row in zip(space.words, space.vectors.tolist()):
+            f.write(word + " " + row_format % tuple(row))
 
 
 def unit_rows(vectors: np.ndarray, words=None) -> np.ndarray:

@@ -124,29 +124,52 @@ def backward_fn(m: LinearMap | PiecewiseMap) -> MapFn:
     return m.apply_target_back
 
 
+def save_matrix(path, m: np.ndarray, header: str | None = None) -> None:
+    """Write a header line ("<rows> <cols>" unless given), then one line of
+    full-precision floats per row.
+
+    '%.17g' % x is byte-identical to format(x, '.17g') and reads back exactly.
+    """
+    row_format = " ".join(["%.17g"] * m.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write((header or f"{m.shape[0]} {m.shape[1]}") + "\n")
+        for row in m.tolist():
+            f.write(row_format % tuple(row))
+
+
+def load_matrix(path) -> np.ndarray:
+    """Read a matrix written by save_matrix.
+
+    The header is "<d>" for a d x d matrix or "<rows> <cols>"; blank lines
+    are skipped.  A wrong field or row count is a ParseError naming the line.
+    """
+    with open(path, encoding="utf-8") as f:
+        header = f.readline()
+        lines = [(lineno, line) for lineno, line in enumerate(f, start=2) if line.strip()]
+    try:
+        dims = [int(x) for x in header.split()]
+    except ValueError:
+        dims = []
+    if len(dims) not in (1, 2) or min(dims) < 1:
+        raise ParseError(f"{path}: expected '<d>' or '<rows> <cols>' on the first line, "
+                         f"got {header.strip()!r}")
+    rows, cols = dims if len(dims) == 2 else dims * 2
+    for lineno, line in lines:
+        if len(line.split()) != cols:
+            raise ParseError(f"{path} line {lineno}: expected {cols} floats")
+    if len(lines) != rows:
+        raise ParseError(f"{path}: expected {rows} rows, got {len(lines)}")
+    try:
+        return np.loadtxt([line for _, line in lines], dtype=np.float64, comments=None,
+                          ndmin=2)
+    except ValueError:
+        raise ParseError(f"{path}: unparseable float") from None
+
+
 def save_linear_map(path, m: LinearMap) -> None:
     """Text format: first line d, then d rows of d floats (full precision)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{m.dim}\n")
-        for row in m.w:
-            f.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+    save_matrix(path, m.w, str(m.dim))
 
 
 def load_linear_map(path, orthogonal_hint: bool = False) -> LinearMap:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        try:
-            d = int(header)
-        except ValueError:
-            raise ParseError(f"{path}: expected dimension on first line, got {header!r}") from None
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != d:
-                raise ParseError(f"{path} line {lineno}: expected {d} floats")
-            rows.append([float(x) for x in fields])
-    if len(rows) != d:
-        raise ParseError(f"{path}: expected {d} rows, got {len(rows)}")
-    return LinearMap(np.array(rows, dtype=np.float64), orthogonal_hint=orthogonal_hint)
+    return LinearMap(load_matrix(path), orthogonal_hint=orthogonal_hint)

@@ -6,6 +6,12 @@ outputs back there, so `pipeline` and the per-stage subcommands produce
 identical artifacts.  Stage seeds derive from the master seed and the
 stage name; timings live in their own manifest key and are the only
 nondeterministic field.
+
+Each normalized space is parsed once per process: the RunDir keeps the
+parsed `*.norm.vec` files and parses one again only when its
+modification time or size changed.  The kept space is exactly what the
+text parses to, and spaces are immutable, so a stage sees the same
+inputs whether it runs inside `pipeline` or as its own subcommand.
 """
 
 from __future__ import annotations
@@ -15,11 +21,9 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .alignment import SubspacePairing, partition_target_with_merge, save_assignments
+from .alignment import SubspacePairing, partition_target_with_merge
 from .clustering import (Partition, finch_hierarchy, kmeans, load_assignments,
-                         merge_small_clusters, save_partition, select_level)
+                         merge_small_clusters, save_assignments, select_level)
 from .config import PipelineConfig, config_digest, derive_seed
 from .embeddings import (EmbeddingSpace, iterative_normalize, load_embeddings,
                          save_embeddings, unit_rows)
@@ -28,7 +32,7 @@ from .evaluation import (evaluate_bli, format_report, per_subspace_accuracy,
                          per_subspace_table, report_to_json)
 from .gan import random_restart_train
 from .mapping import (LinearMap, PiecewiseMap, backward_fn, forward_fn, load_linear_map,
-                      save_linear_map)
+                      load_matrix, save_linear_map, save_matrix)
 from .multigan import train_multi_gan
 from .refinement import global_refine, local_refine, refine_linear
 from .retrieval import (gold_multimap, induce_seed_dictionary, load_dictionary_tokens,
@@ -60,9 +64,22 @@ class RunDir:
     def __init__(self, out: str | Path):
         self.root = Path(out)
         self.root.mkdir(parents=True, exist_ok=True)
+        # (name, max_vocab) -> ((st_mtime_ns, st_size) when parsed, space)
+        self._spaces: dict[tuple[str, int], tuple[tuple[int, int], EmbeddingSpace]] = {}
 
     def path(self, name: str) -> Path:
         return self.root / name
+
+    def load_space(self, name: str, max_vocab: int) -> EmbeddingSpace:
+        """The embedding file `name` as load_embeddings parses it, parsed
+        again only when the file's modification time or size changed."""
+        path = self.path(name)
+        st = path.stat()  # before parsing, so a concurrent rewrite reads as a change
+        stamp = (st.st_mtime_ns, st.st_size)
+        kept = self._spaces.get((name, max_vocab))
+        if kept is None or kept[0] != stamp:
+            kept = self._spaces[(name, max_vocab)] = (stamp, load_embeddings(path, max_vocab))
+        return kept[1]
 
     def manifest_path(self) -> Path:
         return self.root / "manifest.json"
@@ -100,31 +117,19 @@ class RunDir:
             json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _save_matrix(path: Path, m: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for row in m:
-            f.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def _load_matrix(path: Path) -> np.ndarray:
-    with open(path, encoding="utf-8") as f:
-        rows, cols = (int(x) for x in f.readline().split())
-        m = np.loadtxt(f, dtype=np.float64, ndmin=2)
-    if m.shape != (rows, cols):
-        raise ConfigError(f"{path}: expected {rows}x{cols} matrix, got {m.shape}")
-    return m
-
-
 def _load_normalized(run: RunDir, cfg: PipelineConfig):
-    src = load_embeddings(run.path("source.norm.vec"), cfg.data.max_vocab)
-    tgt = load_embeddings(run.path("target.norm.vec"), cfg.data.max_vocab)
-    return src, tgt
+    return (run.load_space("source.norm.vec", cfg.data.max_vocab),
+            run.load_space("target.norm.vec", cfg.data.max_vocab))
+
+
+def _save_partition(run: RunDir, partition: Partition, words) -> None:
+    save_assignments(run.path("source_partition.tsv"), words, partition.assignments)
+    save_matrix(run.path("source_centroids.txt"), partition.centroids)
 
 
 def _load_partition(run: RunDir, source: EmbeddingSpace) -> Partition:
     assignments = load_assignments(run.path("source_partition.tsv"), source.words)
-    centroids = _load_matrix(run.path("source_centroids.txt"))
+    centroids = load_matrix(run.path("source_centroids.txt"))
     return Partition(assignments, centroids)
 
 
@@ -204,8 +209,7 @@ def stage_cluster(run: RunDir, cfg: PipelineConfig) -> dict:
     partition = select_level(hierarchy, cfg.cluster.level)
     min_size = cfg.cluster.min_cluster_size or max(2 * source.dim, 32)
     partition = merge_small_clusters(partition, source.vectors, min_size)
-    save_partition(run.path("source_partition.tsv"), partition, source.words)
-    _save_matrix(run.path("source_centroids.txt"), partition.centroids)
+    _save_partition(run, partition, source.words)
     return {"artifacts": ["source_partition.tsv", "source_centroids.txt"],
             "metrics": {"level_sizes": [p.c for p in hierarchy.levels],
                         "selected_level": cfg.cluster.level,
@@ -219,8 +223,7 @@ def stage_align(run: RunDir, cfg: PipelineConfig) -> dict:
     partition = _load_partition(run, source)
     pairing, merged = partition_target_with_merge(single, partition, source, target,
                                                   k=cfg.cluster.align_csls_k)
-    save_partition(run.path("source_partition.tsv"), pairing.source_partition, source.words)
-    _save_matrix(run.path("source_centroids.txt"), pairing.source_partition.centroids)
+    _save_partition(run, pairing.source_partition, source.words)
     save_assignments(run.path("target_assignments.tsv"), target.words,
                      pairing.target_assignments)
     return {"artifacts": ["target_assignments.tsv", "source_partition.tsv",

@@ -27,14 +27,15 @@ def _block_rows(n_cols: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, n_cols))
 
 
-def topk_mean(queries: np.ndarray, corpus: np.ndarray, k: int) -> np.ndarray:
-    """Mean cosine of each query row to its k most similar corpus rows."""
-    out = np.empty(queries.shape[0])
-    step = _block_rows(corpus.shape[0])
-    for i in range(0, queries.shape[0], step):
-        sims = queries[i:i + step] @ corpus.T
-        out[i:i + step] = np.partition(sims, -k, axis=1)[:, -k:].mean(axis=1)
-    return out
+def topk_mean(sims: np.ndarray, k: int) -> np.ndarray:
+    """Mean of the k largest entries in each row of a similarity block."""
+    return np.partition(sims, -k, axis=1)[:, -k:].mean(axis=1)
+
+
+def _column_topk(sims: np.ndarray, k: int) -> np.ndarray:
+    """The k largest entries of each column, or every entry when a column
+    has fewer than k.  A copy, so the partitioned block can be freed."""
+    return sims if sims.shape[0] < k else np.partition(sims, -k, axis=0)[-k:].copy()
 
 
 def _drop_scores(scores: np.ndarray, keep_prob: float, rng) -> np.ndarray:
@@ -53,6 +54,11 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
     query set itself serves as the source-side neighborhood.  With
     keep_prob < 1 each score survives with that probability and dropped
     scores count as -inf (stochastic dictionary induction).
+
+    Each block of query rows is multiplied against the targets once in
+    the first pass, which takes r_t from the block's rows and merges its
+    columns into a running top-k for r_s.  The second pass scores; when
+    every query fits in one block it reuses that block's product.
     """
     q_vecs = _rows(queries)
     t_vecs = _rows(target)
@@ -63,15 +69,24 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
         raise ConfigError(f"k={k} exceeds query count {n_q} for the r_s neighborhood")
     if keep_prob < 1.0 and rng is None:
         raise ConfigError("keep_prob < 1 requires an rng")
-    r_t = topk_mean(q_vecs, t_vecs, k)
-    r_s = topk_mean(t_vecs, q_vecs, k)
-    out = np.empty(n_q, dtype=np.int64)
     step = _block_rows(n_t)
+    r_t = np.empty(n_q)
+    col_top = None  # [<= k, n_t] largest similarities seen so far per target
     for i in range(0, n_q, step):
-        scores = 2.0 * (q_vecs[i:i + step] @ t_vecs.T)
-        scores -= r_t[i:i + step, None]
-        scores -= r_s[None, :]
-        out[i:i + step] = _drop_scores(scores, keep_prob, rng).argmax(axis=1)
+        sims = q_vecs[i:i + step] @ t_vecs.T
+        r_t[i:i + step] = topk_mean(sims, k)
+        top = _column_topk(sims, k)
+        col_top = top if col_top is None else _column_topk(np.concatenate((col_top, top)), k)
+    # contiguous rows of k, so the mean sums in the same order as topk_mean
+    r_s = np.ascontiguousarray(col_top.T).mean(axis=1)
+    out = np.empty(n_q, dtype=np.int64)
+    for i in range(0, n_q, step):
+        if n_q > step:
+            sims = q_vecs[i:i + step] @ t_vecs.T
+        sims *= 2.0
+        sims -= r_t[i:i + step, None]
+        sims -= r_s[None, :]
+        out[i:i + step] = _drop_scores(sims, keep_prob, rng).argmax(axis=1)
     return out
 
 

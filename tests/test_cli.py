@@ -8,8 +8,9 @@ import pytest
 from submap.cli import main
 from submap.config import PipelineConfig, config_digest, derive_seed, load_config
 from submap.errors import ConfigError
+from submap import pipeline
 from submap.pipeline import RunDir, run_pipeline, run_stage, stages_for
-from submap.embeddings import load_embeddings
+from submap.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
 from submap.mapping import load_linear_map
 from submap.retrieval import load_dictionary_tokens
 
@@ -163,6 +164,42 @@ class TestPipeline:
             a = (auto / artifact).read_bytes()
             b = (manual / artifact).read_bytes()
             assert a == b, f"{artifact} differs between pipeline and subcommands"
+
+    def test_each_normalized_space_parsed_once(self, tmp_path, synth_dir, monkeypatch):
+        cfg = load_config(write_config(tmp_path, synth_dir))
+        parsed = []
+
+        def counting_load(path, max_vocab):
+            parsed.append(Path(path).name)
+            return load_embeddings(path, max_vocab)
+
+        monkeypatch.setattr(pipeline, "load_embeddings", counting_load)
+        run_pipeline(cfg, tmp_path / "once")
+        assert sorted(parsed) == ["source.norm.vec", "source.vec",
+                                  "target.norm.vec", "target.vec"]
+
+    def test_rewritten_space_is_parsed_again(self, tmp_path, synth_dir, monkeypatch):
+        cfg = load_config(write_config(tmp_path, synth_dir))
+        run = RunDir(tmp_path / "rewrite")
+        run_stage(run, cfg, "normalize")
+        run_stage(run, cfg, "single_gan")
+        old = load_embeddings(run.path("source.norm.vec"), cfg.data.max_vocab)
+        # unit basis rows: different vectors and a shorter file than the old ones
+        basis = np.eye(old.dim)[np.arange(old.n) % old.dim]
+        save_embeddings(run.path("source.norm.vec"), EmbeddingSpace(old.words, basis))
+        seen = []
+
+        class Seen(Exception):
+            pass
+
+        def spy(vectors):
+            seen.append(vectors)
+            raise Seen
+
+        monkeypatch.setattr(pipeline, "finch_hierarchy", spy)
+        with pytest.raises(Seen):
+            run_stage(run, cfg, "cluster")
+        assert np.array_equal(seen[0], basis)
 
     def test_single_mode_skips_clustering(self, tmp_path, synth_dir):
         cfg = load_config(write_config(tmp_path, synth_dir, refine_mode="single"))

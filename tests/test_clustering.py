@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from submap.clustering import (ClusterHierarchy, Partition, finch_hierarchy,
                                finch_partition, first_neighbors, kmeans,
-                               load_assignments, merge_small_clusters, save_partition,
+                               load_assignments, merge_small_clusters, save_assignments,
                                select_level)
 from submap.embeddings import unit_rows
 from submap.errors import ConfigError, TooFewSamplesError
@@ -260,6 +260,6 @@ def test_partition_round_trip(tmp_path, rng):
     x = unit_rows(rng.normal(size=(12, 3)))
     part = finch_partition(x)
     words = tuple(f"w{i}" for i in range(12))
-    save_partition(tmp_path / "p.tsv", part, words)
+    save_assignments(tmp_path / "p.tsv", words, part.assignments)
     back = load_assignments(tmp_path / "p.tsv", words)
     assert np.array_equal(back, part.assignments)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submap import retrieval
 from submap.embeddings import EmbeddingSpace, unit_rows
 from submap.errors import ConfigError, EmptyDictionaryError, ParseError
 from submap.mapping import LinearMap, backward_fn, forward_fn, identity_map
@@ -56,6 +57,23 @@ class TestCslsTranslate:
         queries = unit_rows(np.array([[1.0, 0.0], [0.8, 0.6]]))
         out = csls_translate(queries, target, k=1)
         assert out[0] == 0  # targets 0 and 1 identical, lowest index wins
+
+    def test_blocked_matches_unblocked_and_dense_oracle(self, monkeypatch):
+        g = np.random.default_rng(7)
+        k, n_t, step = 5, 50, 7
+        queries = unit_rows(g.normal(size=(3 * step + 3, 4)))  # last block: 3 < k rows
+        targets = unit_rows(g.normal(size=(n_t, 4)))
+        unblocked = csls_translate(queries, targets, k=k)
+        dropped = csls_translate(queries, targets, k=k, keep_prob=0.6,
+                                 rng=np.random.default_rng(3))
+        monkeypatch.setattr(retrieval, "_BLOCK_ELEMENTS", step * n_t)
+        assert retrieval._block_rows(n_t) == step
+        blocked = csls_translate(queries, targets, k=k)
+        assert np.array_equal(blocked, brute_force_csls(queries, targets, k))
+        assert np.array_equal(blocked, unblocked)
+        assert np.array_equal(csls_translate(queries, targets, k=k, keep_prob=0.6,
+                                             rng=np.random.default_rng(3)), dropped)
+        assert not np.array_equal(dropped, unblocked)  # the dropout did act
 
     def test_k_out_of_range(self, small_space):
         with pytest.raises(ConfigError):
