@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Partition, cluster_centroids, _relabel
+from .clustering import Partition, merge_clusters
 from .embeddings import EmbeddingSpace, unit_rows
 from .errors import EmptyTargetSubspaceError, ParseError
 from .mapping import LinearMap
@@ -83,21 +83,4 @@ def partition_target_with_merge(single_map: LinearMap, source_partition: Partiti
             if partition.c <= 1:
                 raise
             merged.extend(e.empty_ids)
-            partition = _merge_clusters_into_nearest(partition, source.vectors, e.empty_ids)
-
-
-def _merge_clusters_into_nearest(partition: Partition, vectors: np.ndarray,
-                                 cluster_ids) -> Partition:
-    assignments = np.array(partition.assignments)
-    doomed = set(int(c) for c in cluster_ids)
-    centroids = partition.centroids
-    for cid in sorted(doomed):
-        sims = centroids @ centroids[cid]
-        sims[cid] = -np.inf
-        for other in doomed - {cid}:
-            sims[other] = -np.inf
-        into = int(sims.argmax())
-        assignments[assignments == cid] = into
-    assignments = _relabel(assignments)
-    return Partition(assignments, cluster_centroids(vectors, assignments))
-
+            partition = merge_clusters(partition, source.vectors, e.empty_ids)

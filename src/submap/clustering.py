@@ -174,26 +174,33 @@ def select_level(hierarchy: ClusterHierarchy, policy: str) -> Partition:
     return levels[i]
 
 
+def merge_clusters(partition: Partition, vectors: np.ndarray, cluster_ids) -> Partition:
+    """Fold each listed cluster into the unlisted cluster whose centroid
+    (recomputed from `vectors`) is nearest to its own, then relabel."""
+    assignments = np.array(partition.assignments)
+    centroids = cluster_centroids(vectors, assignments)
+    doomed = sorted(set(int(c) for c in cluster_ids))
+    for cid in doomed:
+        sims = centroids @ centroids[cid]
+        sims[doomed] = -np.inf
+        assignments[assignments == cid] = int(sims.argmax())
+    assignments = _relabel(assignments)
+    return Partition(assignments, cluster_centroids(vectors, assignments))
+
+
 def merge_small_clusters(partition: Partition, vectors: np.ndarray,
                          min_size: int) -> Partition:
-    """Fold clusters below `min_size` into the cluster with the nearest
-    centroid; per-subspace training degenerates on tiny clusters."""
-    assignments = np.array(partition.assignments)
-    while True:
-        centroids = cluster_centroids(vectors, assignments)
-        sizes = np.bincount(assignments, minlength=centroids.shape[0])
-        if centroids.shape[0] <= 1:
-            break
+    """Fold clusters below `min_size`, smallest first, into the cluster
+    with the nearest centroid; per-subspace training degenerates on tiny
+    clusters."""
+    while partition.c > 1:
+        sizes = partition.sizes()
         small = np.flatnonzero(sizes < min_size)
         if small.size == 0:
             break
-        cid = int(small[np.argsort(sizes[small], kind="stable")[0]])
-        sims = centroids @ centroids[cid]
-        sims[cid] = -np.inf
-        into = int(sims.argmax())
-        assignments[assignments == cid] = into
-        assignments = _relabel(assignments)
-    return Partition(assignments, cluster_centroids(vectors, assignments))
+        partition = merge_clusters(partition, vectors,
+                                   [small[np.argsort(sizes[small], kind="stable")[0]]])
+    return partition
 
 
 def kmeans(vectors: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> Partition:

@@ -1,12 +1,14 @@
-"""Adversarial training of a single linear map between two embedding
-spaces: the baseline mapping and the initializer for per-subspace
-generators.
+"""The one adversarial trainer: a linear map W between two embedding
+spaces, trained against a list of games.
 
-The generator is the matrix W itself; the discriminator is a small MLP
-classifying whether a vector came from the target distribution.  Both
-are updated alternately with SGD, W is nudged back toward the
-orthogonal manifold after every generator step, and the best epoch
-snapshot under the unsupervised selection criterion is returned.
+A game is an MLP discriminator classifying whether a vector came from
+its pool of target rows or is W applied to its pool of source rows; the
+generator loss is the weighted sum over games.  The single map plays
+one game against the whole language; each subspace generator
+(`multigan`) adds a second against its aligned target subspace.
+Discriminators and W are updated alternately with SGD, W is nudged back
+toward the orthogonal manifold after every generator step, and the best
+epoch snapshot under the unsupervised selection criterion is returned.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .embeddings import EmbeddingSpace
 from .errors import ConfigError, NumericError, TrainingFailedError
 from .mapping import LinearMap, forward_fn, identity_map
 from .numerics import (MlpDiscriminator, bce_input_gradient, bce_loss_from_logits,
-                       _dropout_mask, _forward, _backward, init_discriminator)
+                       init_discriminator, _backward, _dropout_mask, _forward, _sgd_update)
 from .retrieval import selection_criterion
 
 
@@ -73,16 +75,34 @@ def orthogonalize(m: LinearMap, beta: float = 0.001) -> LinearMap:
                      orthogonal_hint=m.orthogonal_hint)
 
 
-def sample_rows(space: EmbeddingSpace, limit: int, batch_size: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Uniform batch from the `limit` most frequent rows (with replacement)."""
-    top = min(limit, space.n)
-    return space.vectors[rng.integers(0, top, size=batch_size)]
+@dataclass(frozen=True)
+class Game:
+    """One adversarial game: a discriminator that learns to tell rows of
+    `real` from mapped rows of `fake`, and the weight of its term in the
+    generator loss."""
+
+    dis: MlpDiscriminator
+    real: np.ndarray  # target rows
+    fake: np.ndarray  # source rows, mapped before the discriminator sees them
+    weight: float
 
 
-def discriminator_loss_and_grads(dis: MlpDiscriminator, real: np.ndarray,
-                                 fake: np.ndarray, smoothing: float,
-                                 rng: np.random.Generator):
+def language_game(dis: MlpDiscriminator, source: EmbeddingSpace, target: EmbeddingSpace,
+                  cfg: GanConfig, weight: float) -> Game:
+    """The game against the whole language, over the `dis_freq_vocab`
+    most frequent rows of each side."""
+    return Game(dis, target.vectors[:cfg.dis_freq_vocab],
+                source.vectors[:cfg.dis_freq_vocab], weight)
+
+
+def _sample(pool: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform batch of pool rows (with replacement)."""
+    return pool[rng.integers(0, pool.shape[0], size=batch_size)]
+
+
+def _discriminator_loss_and_grads(dis: MlpDiscriminator, real: np.ndarray,
+                                  fake: np.ndarray, smoothing: float,
+                                  rng: np.random.Generator):
     """Smoothed BCE of the real and fake terms (each batch-averaged) and
     the summed parameter gradients."""
     total_loss = 0.0
@@ -97,91 +117,96 @@ def discriminator_loss_and_grads(dis: MlpDiscriminator, real: np.ndarray,
     return total_loss, grads
 
 
-def discriminator_step(dis: MlpDiscriminator, m: LinearMap, source: EmbeddingSpace,
-                       target: EmbeddingSpace, cfg: GanConfig,
-                       rng: np.random.Generator) -> tuple[MlpDiscriminator, float]:
-    """One SGD step on -log D(v_t) - log(1 - D(W v_s)), label-smoothed.
+def discriminator_step(m: LinearMap, games: tuple[Game, ...], cfg: GanConfig,
+                       rng: np.random.Generator) -> tuple[tuple[Game, ...], list[float]]:
+    """One SGD step per game on -log D(v_t) - log(1 - D(W v_s)), label-smoothed.
 
-    Returns the updated discriminator and the pre-update loss.
+    Every game's batches are drawn before any dropout mask.  Returns the
+    games with updated discriminators and the pre-update losses.
     """
-    real = sample_rows(target, cfg.dis_freq_vocab, cfg.batch_size, rng)
-    fake = m.apply(sample_rows(source, cfg.dis_freq_vocab, cfg.batch_size, rng))
-    loss, (dw1, db1, dw2, db2) = discriminator_loss_and_grads(
-        dis, real, fake, cfg.smoothing, rng)
-    if not np.isfinite(loss):
-        raise NumericError("non-finite discriminator loss")
-    lr = cfg.lr_discriminator
-    updated = MlpDiscriminator(dis.w1 - lr * dw1, dis.b1 - lr * db1,
-                               dis.w2 - lr * dw2, dis.b2 - lr * db2,
-                               input_dropout=dis.input_dropout,
-                               leaky_slope=dis.leaky_slope)
-    for arr in (updated.w1, updated.w2):
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("non-finite discriminator parameters after update")
-    return updated, loss
+    batches = [(_sample(g.real, cfg.batch_size, rng),
+                m.apply(_sample(g.fake, cfg.batch_size, rng))) for g in games]
+    stepped, losses = [], []
+    for g, (real, fake) in zip(games, batches):
+        loss, grads = _discriminator_loss_and_grads(g.dis, real, fake, cfg.smoothing, rng)
+        stepped.append(Game(_sgd_update(g.dis, grads, loss, cfg.lr_discriminator),
+                            g.real, g.fake, g.weight))
+        losses.append(loss)
+    return tuple(stepped), losses
+
+
+def _mixed_loss_and_grad(m: LinearMap, nets, weights, src_batch: np.ndarray,
+                         tgt_batches, smoothing: float):
+    """Weighted sum over games of -log D(W v_s) - log(1 - D(v_t)), and its
+    gradient in W.
+
+    Every discriminator sees the same mapped source batch and runs in
+    eval mode (no dropout); the terms on true target rows carry no
+    W-gradient but count in the loss.
+    """
+    mapped = src_batch @ m.w.T
+    want_real = np.full(len(mapped), 1.0 - smoothing)
+    loss = dx = None
+    for dis, weight, tgt in zip(nets, weights, tgt_batches):
+        term, term_dx = bce_input_gradient(dis, mapped, want_real)
+        term += bce_loss_from_logits(_forward(dis, tgt, None)[3],
+                                     np.full(len(tgt), smoothing))
+        if loss is None:
+            loss, dx = weight * term, weight * term_dx
+        else:
+            loss, dx = loss + weight * term, dx + weight * term_dx
+    return loss, dx.T @ src_batch
 
 
 def generator_loss_and_grad(m: LinearMap, dis: MlpDiscriminator, src_batch: np.ndarray,
                             tgt_batch: np.ndarray, smoothing: float):
-    """Loss -log D(W v_s) - log(1 - D(v_t)) and its gradient in W.
-
-    Only the first term depends on W; the discriminator runs in eval
-    mode (no dropout) for the generator update.
-    """
-    mapped = src_batch @ m.w.T
-    loss_fake, dx = bce_input_gradient(dis, mapped, np.full(len(mapped), 1.0 - smoothing))
-    logits_real = _forward(dis, tgt_batch, None)[3]
-    loss_real = bce_loss_from_logits(logits_real, np.full(len(tgt_batch), smoothing))
-    grad_w = dx.T @ src_batch
-    return loss_fake + loss_real, grad_w
+    """Loss -log D(W v_s) - log(1 - D(v_t)) and its gradient in W."""
+    return _mixed_loss_and_grad(m, (dis,), (1.0,), src_batch, (tgt_batch,), smoothing)
 
 
-def generator_step(m: LinearMap, dis: MlpDiscriminator, source: EmbeddingSpace,
-                   target: EmbeddingSpace, cfg: GanConfig,
+def generator_step(m: LinearMap, games: tuple[Game, ...], cfg: GanConfig,
                    rng: np.random.Generator) -> tuple[LinearMap, float]:
-    """One SGD step on the generator loss w.r.t. W, then orthogonalize."""
-    src = sample_rows(source, cfg.dis_freq_vocab, cfg.batch_size, rng)
-    tgt = sample_rows(target, cfg.dis_freq_vocab, cfg.batch_size, rng)
-    loss, grad_w = generator_loss_and_grad(m, dis, src, tgt, cfg.smoothing)
+    """One SGD step on the weighted generator loss w.r.t. W, then orthogonalize.
+
+    The source batch comes from the last (narrowest) game's fake pool;
+    each game then draws its own target batch.
+    """
+    src = _sample(games[-1].fake, cfg.batch_size, rng)
+    tgts = [_sample(g.real, cfg.batch_size, rng) for g in games]
+    loss, grad_w = _mixed_loss_and_grad(m, [g.dis for g in games], [g.weight for g in games],
+                                        src, tgts, cfg.smoothing)
     if not np.isfinite(loss) or not np.all(np.isfinite(grad_w)):
         raise NumericError("non-finite generator loss or gradient")
     stepped = LinearMap(m.w - cfg.lr_generator * grad_w)
     return orthogonalize(stepped, cfg.beta), loss
 
 
-def _criterion(m: LinearMap, source: EmbeddingSpace, target: EmbeddingSpace,
-               cfg: GanConfig) -> float:
-    return selection_criterion(forward_fn(m), source, target,
-                               vocab_limit=cfg.criterion_vocab, k=cfg.csls_k)
-
-
-def train_single_gan(source: EmbeddingSpace, target: EmbeddingSpace,
-                     cfg: GanConfig) -> tuple[LinearMap, float]:
-    """Alternating adversarial training from an identity start.
+def _train(start: LinearMap, games: tuple[Game, ...], source: EmbeddingSpace,
+           target: EmbeddingSpace, cfg: GanConfig,
+           rng: np.random.Generator) -> tuple[LinearMap, float]:
+    """Alternating adversarial training of `start` against `games`.
 
     Runs `epochs` x `steps_per_epoch` generator steps (each preceded by
     `dis_steps_per_gen_step` discriminator steps), evaluates the
-    selection criterion after every epoch, decays the learning rates per
-    epoch and halves them whenever the criterion drops, and returns the
-    best snapshot with its criterion.
+    selection criterion of `source` against `target` after every epoch,
+    decays the learning rates per epoch and halves them whenever the
+    criterion drops, and returns the best snapshot with its criterion.
     """
-    cfg.validate()
-    if source.dim != target.dim:
-        raise ConfigError(f"dimension mismatch: {source.dim} vs {target.dim}")
-    rng = np.random.default_rng(cfg.seed)
-    dis = init_discriminator(source.dim, cfg.dis_hidden, cfg.dis_dropout, rng,
-                             cfg.dis_leaky_slope)
-    current = identity_map(source.dim)
-    best_map, best_crit = current, _criterion(current, source, target, cfg)
+    def criterion(m: LinearMap) -> float:
+        return selection_criterion(forward_fn(m), source, target,
+                                   vocab_limit=cfg.criterion_vocab, k=cfg.csls_k)
+
+    current = start
+    best_map, best_crit = current, criterion(current)
     prev_crit = best_crit
     lr_g, lr_d = cfg.lr_generator, cfg.lr_discriminator
     for _ in range(cfg.epochs):
         epoch_cfg = replace(cfg, lr_generator=lr_g, lr_discriminator=lr_d)
         for _ in range(cfg.steps_per_epoch):
             for _ in range(cfg.dis_steps_per_gen_step):
-                dis, _ = discriminator_step(dis, current, source, target, epoch_cfg, rng)
-            current, _ = generator_step(current, dis, source, target, epoch_cfg, rng)
-        crit = _criterion(current, source, target, cfg)
+                games, _ = discriminator_step(current, games, epoch_cfg, rng)
+            current, _ = generator_step(current, games, epoch_cfg, rng)
+        crit = criterion(current)
         if crit > best_crit:
             best_map, best_crit = current, crit
         if crit < prev_crit:
@@ -191,6 +216,20 @@ def train_single_gan(source: EmbeddingSpace, target: EmbeddingSpace,
         lr_d *= cfg.lr_decay
         prev_crit = crit
     return best_map, best_crit
+
+
+def train_single_gan(source: EmbeddingSpace, target: EmbeddingSpace,
+                     cfg: GanConfig) -> tuple[LinearMap, float]:
+    """Adversarial training from an identity start in the one language
+    game (weight 1), selected on the whole source vocabulary."""
+    cfg.validate()
+    if source.dim != target.dim:
+        raise ConfigError(f"dimension mismatch: {source.dim} vs {target.dim}")
+    rng = np.random.default_rng(cfg.seed)
+    dis = init_discriminator(source.dim, cfg.dis_hidden, cfg.dis_dropout, rng,
+                             cfg.dis_leaky_slope)
+    games = (language_game(dis, source, target, cfg, 1.0),)
+    return _train(identity_map(source.dim), games, source, target, cfg, rng)
 
 
 def random_restart_train(source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanConfig,

@@ -1,26 +1,24 @@
-"""Per-subspace adversarial training with two discriminators each.
+"""Per-subspace adversarial training: two games per subspace on the
+one trainer in `gan`.
 
-Every source subspace gets its own generator (initialized from the
-single map), a subspace discriminator judging membership in the aligned
-target subspace, and a whole-language discriminator judging membership
-in the full target distribution.  The generator loss mixes the two with
-a per-subspace weight derived from eigenvalue divergences.
+Every source subspace gets its own generator, initialized from the
+single map.  It plays the language game (a discriminator judging
+membership in the full target distribution) and the subspace game (a
+discriminator judging membership in the aligned target subspace), and
+its generator loss mixes the two with a per-subspace weight lambda
+derived from eigenvalue divergences.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
 from .alignment import SubspacePairing
 from .embeddings import EmbeddingSpace
 from .errors import NumericError
-from .gan import GanConfig, orthogonalize, sample_rows, discriminator_loss_and_grads
+from .gan import GanConfig, Game, language_game, _mixed_loss_and_grad, _train
 from .mapping import LinearMap, PiecewiseMap
-from .numerics import (MlpDiscriminator, bce_input_gradient, bce_loss_from_logits,
-                       covariance_eigenvalues, init_discriminator, _forward)
-from .retrieval import selection_criterion
+from .numerics import MlpDiscriminator, covariance_eigenvalues, init_discriminator
 
 LAMBDA_FALLBACK = 0.5
 WHOLE_EVD_EPS = 1e-9
@@ -50,138 +48,35 @@ def dynamic_lambda(sub_source: np.ndarray, sub_target: np.ndarray,
     return float(min(1.0, max(0.0, ratio)))
 
 
-def _sample(vectors: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-    return vectors[rng.integers(0, vectors.shape[0], size=batch_size)]
-
-
-def subspace_dis_steps(dis_lang: MlpDiscriminator, dis_sub: MlpDiscriminator,
-                       gen: LinearMap, whole_source: EmbeddingSpace,
-                       whole_target: EmbeddingSpace, sub_source: np.ndarray,
-                       sub_target: np.ndarray, cfg: GanConfig,
-                       rng: np.random.Generator):
-    """One SGD step each for the language and subspace discriminators.
-
-    The language discriminator sees frequent whole-space words (real)
-    against this generator's mapping of frequent source words (fake);
-    the subspace discriminator sees only subspace rows on both sides.
-    """
-    lang_real = sample_rows(whole_target, cfg.dis_freq_vocab, cfg.batch_size, rng)
-    lang_fake = gen.apply(sample_rows(whole_source, cfg.dis_freq_vocab, cfg.batch_size, rng))
-    sub_real = _sample(sub_target, cfg.batch_size, rng)
-    sub_fake = gen.apply(_sample(sub_source, cfg.batch_size, rng))
-
-    updated = []
-    losses = []
-    for dis, real, fake in ((dis_lang, lang_real, lang_fake),
-                            (dis_sub, sub_real, sub_fake)):
-        loss, (dw1, db1, dw2, db2) = discriminator_loss_and_grads(
-            dis, real, fake, cfg.smoothing, rng)
-        if not np.isfinite(loss):
-            raise NumericError("non-finite subspace discriminator loss")
-        lr = cfg.lr_discriminator
-        updated.append(MlpDiscriminator(dis.w1 - lr * dw1, dis.b1 - lr * db1,
-                                        dis.w2 - lr * dw2, dis.b2 - lr * db2,
-                                        input_dropout=dis.input_dropout,
-                                        leaky_slope=dis.leaky_slope))
-        losses.append(loss)
-    return updated[0], updated[1], losses[0], losses[1]
-
-
 def subspace_gen_loss_and_grad(gen: LinearMap, dis_lang: MlpDiscriminator,
                                dis_sub: MlpDiscriminator, lambda_i: float,
                                sub_src_batch: np.ndarray, lang_tgt_batch: np.ndarray,
                                sub_tgt_batch: np.ndarray, smoothing: float):
-    """Convex mix of the two generator losses and its gradient in W.
-
-    Both discriminator branches see the mapped subspace batch; the
-    terms on true target rows carry no W-gradient but count in the loss.
-    """
-    mapped = sub_src_batch @ gen.w.T
-    want_real = np.full(len(mapped), 1.0 - smoothing)
-
-    loss_lang, dx_lang = bce_input_gradient(dis_lang, mapped, want_real)
-    loss_lang += bce_loss_from_logits(_forward(dis_lang, lang_tgt_batch, None)[3],
-                                      np.full(len(lang_tgt_batch), smoothing))
-    loss_sub, dx_sub = bce_input_gradient(dis_sub, mapped, want_real)
-    loss_sub += bce_loss_from_logits(_forward(dis_sub, sub_tgt_batch, None)[3],
-                                     np.full(len(sub_tgt_batch), smoothing))
-
-    loss = lambda_i * loss_lang + (1.0 - lambda_i) * loss_sub
-    dx = lambda_i * dx_lang + (1.0 - lambda_i) * dx_sub
-    return loss, dx.T @ sub_src_batch
-
-
-def subspace_gen_step(gen: LinearMap, dis_lang: MlpDiscriminator,
-                      dis_sub: MlpDiscriminator, lambda_i: float,
-                      whole_target: EmbeddingSpace, sub_source: np.ndarray,
-                      sub_target: np.ndarray, cfg: GanConfig,
-                      rng: np.random.Generator) -> tuple[LinearMap, float]:
-    """One SGD step on the mixed generator loss, then orthogonalize."""
-    sub_src = _sample(sub_source, cfg.batch_size, rng)
-    lang_tgt = sample_rows(whole_target, cfg.dis_freq_vocab, cfg.batch_size, rng)
-    sub_tgt = _sample(sub_target, cfg.batch_size, rng)
-    loss, grad_w = subspace_gen_loss_and_grad(gen, dis_lang, dis_sub, lambda_i,
-                                              sub_src, lang_tgt, sub_tgt, cfg.smoothing)
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad_w)):
-        raise NumericError("non-finite subspace generator loss or gradient")
-    stepped = LinearMap(gen.w - cfg.lr_generator * grad_w)
-    return orthogonalize(stepped, cfg.beta), loss
-
-
-def _subspace_criterion(gen: LinearMap, sub_vectors: np.ndarray, sub_words,
-                        target: EmbeddingSpace, cfg: GanConfig) -> float:
-    sub_space = EmbeddingSpace(sub_words, sub_vectors)
-    limit = min(cfg.criterion_vocab, sub_space.n)
-    return selection_criterion(lambda v, i: gen.apply(v), sub_space, target,
-                               vocab_limit=limit, k=min(cfg.csls_k, limit, target.n))
+    """Convex mix (lambda_i, 1 - lambda_i) of the language and subspace
+    generator losses on a subspace batch, and its gradient in W."""
+    return _mixed_loss_and_grad(gen, (dis_lang, dis_sub), (lambda_i, 1.0 - lambda_i),
+                                sub_src_batch, (lang_tgt_batch, sub_tgt_batch), smoothing)
 
 
 def train_subspace_gan(cluster_id: int, single_map: LinearMap, pairing: SubspacePairing,
                        source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanConfig,
-                       whole_evd: float,
-                       lambda_fixed: float | None = None) -> tuple[LinearMap, float, float]:
-    """Train one subspace generator; returns (best map, criterion, lambda)."""
+                       lambda_i: float) -> tuple[LinearMap, float]:
+    """Train one subspace generator from the single map in the language
+    game (weight lambda_i) and the subspace game (weight 1 - lambda_i),
+    selected on the subspace's source words; returns (best map, criterion)."""
     src_rows = pairing.source_members(cluster_id)
-    tgt_rows = pairing.target_members(cluster_id)
     sub_source = source.vectors[src_rows]
-    sub_target = target.vectors[tgt_rows]
-    sub_words = tuple(source.words[i] for i in src_rows)
-    if lambda_fixed is not None:
-        lambda_i = float(lambda_fixed)
-    else:
-        lambda_i = dynamic_lambda(sub_source, sub_target, source.vectors, target.vectors,
-                                  whole_evd=whole_evd)
-
+    sub_target = target.vectors[pairing.target_members(cluster_id)]
     # seeded by subspace id so training order cannot matter
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, cluster_id)))
     dis_lang = init_discriminator(source.dim, cfg.dis_hidden, cfg.dis_dropout, rng,
                                   cfg.dis_leaky_slope)
     dis_sub = init_discriminator(source.dim, cfg.dis_hidden, cfg.dis_dropout, rng,
                                  cfg.dis_leaky_slope)
-    current = LinearMap(single_map.w.copy())
-    best_map, best_crit = current, _subspace_criterion(current, sub_source, sub_words,
-                                                       target, cfg)
-    prev_crit = best_crit
-    lr_g, lr_d = cfg.lr_generator, cfg.lr_discriminator
-    for _ in range(cfg.epochs):
-        epoch_cfg = replace(cfg, lr_generator=lr_g, lr_discriminator=lr_d)
-        for _ in range(cfg.steps_per_epoch):
-            for _ in range(cfg.dis_steps_per_gen_step):
-                dis_lang, dis_sub, _, _ = subspace_dis_steps(
-                    dis_lang, dis_sub, current, source, target,
-                    sub_source, sub_target, epoch_cfg, rng)
-            current, _ = subspace_gen_step(current, dis_lang, dis_sub, lambda_i,
-                                           target, sub_source, sub_target, epoch_cfg, rng)
-        crit = _subspace_criterion(current, sub_source, sub_words, target, cfg)
-        if crit > best_crit:
-            best_map, best_crit = current, crit
-        if crit < prev_crit:
-            lr_g /= 2.0
-            lr_d /= 2.0
-        lr_g *= cfg.lr_decay
-        lr_d *= cfg.lr_decay
-        prev_crit = crit
-    return best_map, best_crit, lambda_i
+    games = (language_game(dis_lang, source, target, cfg, lambda_i),
+             Game(dis_sub, sub_target, sub_source, 1.0 - lambda_i))
+    sub_space = EmbeddingSpace(tuple(source.words[i] for i in src_rows), sub_source)
+    return _train(LinearMap(single_map.w.copy()), games, sub_space, target, cfg, rng)
 
 
 def train_multi_gan(single_map: LinearMap, pairing: SubspacePairing,
@@ -198,17 +93,18 @@ def train_multi_gan(single_map: LinearMap, pairing: SubspacePairing,
     maps: list[LinearMap] = []
     lambdas: list[float] = []
     criteria: list[float] = []
-    for cluster_id in pairing.cluster_ids():
+    for cluster_id in map(int, pairing.cluster_ids()):
+        if lambda_fixed is not None:
+            lam = float(lambda_fixed)
+        else:
+            lam = dynamic_lambda(source.vectors[pairing.source_members(cluster_id)],
+                                 target.vectors[pairing.target_members(cluster_id)],
+                                 source.vectors, target.vectors, whole_evd=whole)
         try:
-            m, crit, lam = train_subspace_gan(int(cluster_id), single_map, pairing,
-                                              source, target, cfg, whole, lambda_fixed)
+            m, crit = train_subspace_gan(cluster_id, single_map, pairing, source, target,
+                                         cfg, lam)
         except NumericError:
-            sub_s = source.vectors[pairing.source_members(int(cluster_id))]
-            sub_t = target.vectors[pairing.target_members(int(cluster_id))]
-            m = LinearMap(single_map.w.copy())
-            crit = float("nan")
-            lam = lambda_fixed if lambda_fixed is not None else dynamic_lambda(
-                sub_s, sub_t, source.vectors, target.vectors, whole_evd=whole)
+            m, crit = LinearMap(single_map.w.copy()), float("nan")
         maps.append(m)
         lambdas.append(lam)
         criteria.append(crit)

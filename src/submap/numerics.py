@@ -1,4 +1,4 @@
-"""Shared numeric primitives: SVD, covariance spectra, and a small MLP
+"""Shared numeric primitives: covariance spectra, and a small MLP
 classifier trained with plain SGD on binary cross-entropy.
 
 Everything here is pure given an explicit numpy Generator, so callers
@@ -7,6 +7,7 @@ own all randomness and repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,17 +15,6 @@ import numpy as np
 from .errors import NumericError, ShapeError, TooFewSamplesError
 
 EIGENVALUE_FLOOR = 1e-12
-
-
-def svd(m: np.ndarray):
-    """Full SVD with singular values sorted descending.
-
-    Returns (U, S, Vt) with U [a x a], S [min(a,b)], Vt [b x b].
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if not np.all(np.isfinite(m)):
-        raise NumericError("svd input contains non-finite entries")
-    return np.linalg.svd(m, full_matrices=True)
 
 
 def covariance_eigenvalues(vectors: np.ndarray) -> np.ndarray:
@@ -151,6 +141,25 @@ def bce_input_gradient(net: MlpDiscriminator, batch: np.ndarray, targets: np.nda
     return loss, dx
 
 
+def _sgd_update(net: MlpDiscriminator, grads, loss: float, lr: float) -> MlpDiscriminator:
+    """The one discriminator SGD update: parameters minus lr times grads.
+
+    Raises NumericError when the loss or any updated parameter is
+    non-finite; with lr >= 0 that covers every non-finite gradient too.
+    """
+    if not math.isfinite(loss):
+        raise NumericError("non-finite discriminator loss")
+    dw1, db1, dw2, db2 = grads
+    updated = MlpDiscriminator(net.w1 - lr * dw1, net.b1 - lr * db1,
+                               net.w2 - lr * dw2, net.b2 - lr * db2,
+                               input_dropout=net.input_dropout,
+                               leaky_slope=net.leaky_slope)
+    if not (np.isfinite(updated.w1).all() and np.isfinite(updated.b1).all()
+            and np.isfinite(updated.w2).all() and math.isfinite(updated.b2)):
+        raise NumericError("non-finite discriminator parameters after update")
+    return updated
+
+
 def mlp_sgd_step(net: MlpDiscriminator, batch: np.ndarray, targets: np.ndarray,
                  lr: float, rng: np.random.Generator) -> tuple[MlpDiscriminator, float]:
     """One SGD step on mean BCE; returns the updated net and pre-update loss."""
@@ -163,18 +172,4 @@ def mlp_sgd_step(net: MlpDiscriminator, batch: np.ndarray, targets: np.ndarray,
     mask = _dropout_mask(batch.shape, net.input_dropout, rng)
     cache = _forward(net, batch, mask)
     loss = bce_loss_from_logits(cache[3], targets)
-    dw1, db1, dw2, db2, _ = _backward(net, cache, targets)
-    for g in (dw1, db1, dw2):
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient in discriminator update")
-    if not np.isfinite(db2) or not np.isfinite(loss):
-        raise NumericError("non-finite gradient in discriminator update")
-    updated = MlpDiscriminator(
-        net.w1 - lr * dw1,
-        net.b1 - lr * db1,
-        net.w2 - lr * dw2,
-        net.b2 - lr * db2,
-        input_dropout=net.input_dropout,
-        leaky_slope=net.leaky_slope,
-    )
-    return updated, loss
+    return _sgd_update(net, _backward(net, cache, targets)[:4], loss, lr), loss

@@ -3,8 +3,9 @@ import pytest
 from dataclasses import replace
 
 from submap.embeddings import EmbeddingSpace, unit_rows
-from submap.errors import ConfigError
-from submap.gan import (GanConfig, discriminator_step, generator_loss_and_grad,
+from submap import gan
+from submap.errors import ConfigError, NumericError, TrainingFailedError
+from submap.gan import (Game, GanConfig, discriminator_step, generator_loss_and_grad,
                         generator_step, orthogonalize, random_restart_train,
                         train_single_gan)
 from submap.mapping import LinearMap, forward_fn, identity_map
@@ -29,6 +30,10 @@ def two_point_spaces():
     target = EmbeddingSpace(("real",), np.array([[1.0, 0.0]]))
     source = EmbeddingSpace(("fake",), np.array([[-1.0, 0.0]]))
     return source, target
+
+
+def one_game(dis, source, target):
+    return (Game(dis, target.vectors, source.vectors, 1.0),)
 
 
 def perfect_discriminator(smoothing):
@@ -76,8 +81,8 @@ class TestDiscriminatorStep:
         source, target = two_point_spaces()
         cfg = replace(SMALL, batch_size=4, smoothing=0.1)
         dis = perfect_discriminator(cfg.smoothing)
-        _, loss = discriminator_step(dis, identity_map(2), source, target, cfg,
-                                     np.random.default_rng(0))
+        _, (loss,) = discriminator_step(identity_map(2), one_game(dis, source, target),
+                                        cfg, np.random.default_rng(0))
         s = cfg.smoothing
         floor = -2.0 * ((1 - s) * np.log(1 - s) + s * np.log(s))
         assert abs(loss - floor) < 1e-9
@@ -85,8 +90,8 @@ class TestDiscriminatorStep:
     def test_uninformative_discriminator_loss(self):
         source, target = two_point_spaces()
         dis = constant_half_discriminator(2)
-        _, loss = discriminator_step(dis, identity_map(2), source, target, SMALL,
-                                     np.random.default_rng(0))
+        _, (loss,) = discriminator_step(identity_map(2), one_game(dis, source, target),
+                                        SMALL, np.random.default_rng(0))
         assert abs(loss - 2.0 * np.log(2.0)) < 1e-9
 
     def test_zero_lr_keeps_parameters(self, rng):
@@ -94,8 +99,9 @@ class TestDiscriminatorStep:
         target = make_space(10, 4, seed=2)
         dis = init_discriminator(4, 8, 0.0, rng)
         cfg = replace(SMALL, lr_discriminator=0.0)
-        updated, _ = discriminator_step(dis, identity_map(4), source, target, cfg,
-                                        np.random.default_rng(0))
+        (updated,), _ = discriminator_step(identity_map(4), one_game(dis, source, target),
+                                           cfg, np.random.default_rng(0))
+        updated = updated.dis
         assert np.array_equal(updated.w1, dis.w1)
         assert np.array_equal(updated.w2, dis.w2)
 
@@ -107,7 +113,7 @@ class TestGeneratorStep:
         dis = init_discriminator(4, 8, 0.0, rng)
         w0 = random_orthogonal(4, 9) * 1.01
         cfg = replace(SMALL, lr_generator=0.0)
-        out, _ = generator_step(LinearMap(w0), dis, source, target, cfg,
+        out, _ = generator_step(LinearMap(w0), one_game(dis, source, target), cfg,
                                 np.random.default_rng(0))
         assert np.allclose(out.w, orthogonalize(LinearMap(w0), cfg.beta).w)
 
@@ -134,7 +140,7 @@ class TestGeneratorStep:
     def test_uninformative_discriminator_loss(self):
         source, target = two_point_spaces()
         dis = constant_half_discriminator(2)
-        _, loss = generator_step(identity_map(2), dis, source, target, SMALL,
+        _, loss = generator_step(identity_map(2), one_game(dis, source, target), SMALL,
                                  np.random.default_rng(0))
         assert abs(loss - 2.0 * np.log(2.0)) < 1e-9
 
@@ -213,3 +219,27 @@ class TestRandomRestarts:
     def test_rejects_zero_restarts(self, small_space):
         with pytest.raises(ConfigError):
             random_restart_train(small_space, small_space, SMALL, restarts=0)
+
+
+class TestDivergence:
+    def test_every_restart_diverging_raises(self, small_space):
+        target = make_space(small_space.n, small_space.dim, seed=15)
+        cfg = replace(SMALL, lr_discriminator=1e200, criterion_vocab=small_space.n)
+        with np.errstate(all="ignore"), pytest.raises(TrainingFailedError):
+            random_restart_train(small_space, target, cfg, restarts=3)
+
+    def test_diverged_restarts_are_skipped(self, small_space, monkeypatch):
+        target = make_space(small_space.n, small_space.dim, seed=16)
+        cfg = replace(SMALL, criterion_vocab=small_space.n)
+        train = gan.train_single_gan
+
+        def diverge_on_odd_seeds(source, target, run_cfg):
+            if run_cfg.seed % 2:
+                raise NumericError("diverged")
+            return train(source, target, run_cfg)
+
+        monkeypatch.setattr(gan, "train_single_gan", diverge_on_odd_seeds)
+        m, crit = random_restart_train(small_space, target, cfg, restarts=4)
+        kept = [train(small_space, target, replace(cfg, seed=cfg.seed + i)) for i in (0, 2)]
+        best = max(kept, key=lambda r: r[1])
+        assert np.array_equal(m.w, best[0].w) and crit == best[1]

@@ -5,10 +5,11 @@ from dataclasses import replace
 from submap.alignment import SubspacePairing
 from submap.clustering import Partition, cluster_centroids
 from submap.embeddings import EmbeddingSpace, unit_rows
-from submap.gan import GanConfig, generator_loss_and_grad
+from submap import gan
+from submap.gan import (Game, GanConfig, discriminator_step, generator_loss_and_grad,
+                        generator_step, language_game)
 from submap.mapping import LinearMap, identity_map
-from submap.multigan import (dynamic_lambda, evd, subspace_dis_steps,
-                             subspace_gen_loss_and_grad, subspace_gen_step,
+from submap.multigan import (dynamic_lambda, evd, subspace_gen_loss_and_grad,
                              train_multi_gan, train_subspace_gan)
 from submap.numerics import MlpDiscriminator, init_discriminator
 from submap.retrieval import selection_criterion
@@ -31,6 +32,11 @@ def rows_with_cov_eigs(e1, e2):
 def constant_half_discriminator(d, h=4):
     return MlpDiscriminator(np.zeros((h, d)), np.zeros(h), np.zeros((1, h)), 0.0,
                             input_dropout=0.0)
+
+
+def two_games(dis_lang, dis_sub, lambda_i, source, target, sub_source, sub_target):
+    return (language_game(dis_lang, source, target, SMALL, lambda_i),
+            Game(dis_sub, sub_target, sub_source, 1.0 - lambda_i))
 
 
 def tiny_pairing(source, pieces=1):
@@ -92,9 +98,10 @@ class TestSubspaceDisSteps:
         target = make_space(10, 4, seed=2)
         dl = constant_half_discriminator(4)
         ds = constant_half_discriminator(4)
-        _, _, loss_l, loss_s = subspace_dis_steps(
-            dl, ds, identity_map(4), source, target,
-            source.vectors[:5], target.vectors[:5], SMALL, np.random.default_rng(0))
+        _, (loss_l, loss_s) = discriminator_step(
+            identity_map(4),
+            two_games(dl, ds, 0.5, source, target, source.vectors[:5], target.vectors[:5]),
+            SMALL, np.random.default_rng(0))
         assert abs(loss_l - 2 * np.log(2)) < 1e-9
         assert abs(loss_s - 2 * np.log(2)) < 1e-9
 
@@ -104,11 +111,12 @@ class TestSubspaceDisSteps:
         dl = init_discriminator(4, 8, 0.0, rng)
         ds = init_discriminator(4, 8, 0.0, rng)
         cfg = replace(SMALL, lr_discriminator=0.0)
-        new_dl, new_ds, _, _ = subspace_dis_steps(
-            dl, ds, identity_map(4), source, target,
-            source.vectors[:5], target.vectors[:5], cfg, np.random.default_rng(0))
-        assert np.array_equal(new_dl.w1, dl.w1)
-        assert np.array_equal(new_ds.w1, ds.w1)
+        (new_dl, new_ds), _ = discriminator_step(
+            identity_map(4),
+            two_games(dl, ds, 0.5, source, target, source.vectors[:5], target.vectors[:5]),
+            cfg, np.random.default_rng(0))
+        assert np.array_equal(new_dl.dis.w1, dl.w1)
+        assert np.array_equal(new_ds.dis.w1, ds.w1)
 
     def test_gradients_match_finite_differences(self, rng):
         # both discriminator losses share one implementation; check it
@@ -177,9 +185,10 @@ class TestSubspaceGenStep:
         target = make_space(10, 4, seed=2)
         dl = constant_half_discriminator(4)
         ds = constant_half_discriminator(4)
-        _, loss = subspace_gen_step(identity_map(4), dl, ds, 0.5, target,
-                                    source.vectors[:6], target.vectors[:6],
-                                    SMALL, np.random.default_rng(0))
+        _, loss = generator_step(
+            identity_map(4),
+            two_games(dl, ds, 0.5, source, target, source.vectors[:6], target.vectors[:6]),
+            SMALL, np.random.default_rng(0))
         assert abs(loss - 2 * np.log(2)) < 1e-9
 
 
@@ -215,9 +224,12 @@ class TestTrainMultiGan:
         single = identity_map(small_space.dim)
         cfg = replace(SMALL, epochs=1, steps_per_epoch=20, criterion_vocab=20)
         pm, criteria = train_multi_gan(single, pairing, small_space, target, cfg)
-        whole = evd(small_space.vectors, target.vectors)
-        alone1, crit1, _ = train_subspace_gan(1, single, pairing, small_space,
-                                              target, cfg, whole)
+        lam1 = dynamic_lambda(small_space.vectors[pairing.source_members(1)],
+                              target.vectors[pairing.target_members(1)],
+                              small_space.vectors, target.vectors)
+        assert pm.lambdas[1] == lam1
+        alone1, crit1 = train_subspace_gan(1, single, pairing, small_space,
+                                           target, cfg, lam1)
         assert np.array_equal(pm.maps[1].w, alone1.w)
         assert criteria[1] == crit1
 
@@ -267,3 +279,67 @@ class TestTrainMultiGan:
             improved = sum(1 for c in range(3) if criteria[c] > base[c])
             best_improved = max(best_improved, improved)
         assert best_improved >= 2
+
+
+class TestDivergence:
+    def test_diverged_subspace_keeps_single_map_and_reports_lambda(self, small_space):
+        target = make_space(small_space.n, small_space.dim, seed=32)
+        pairing = tiny_pairing(small_space, pieces=2)
+        single = LinearMap(random_orthogonal(small_space.dim, 3))
+        cfg = replace(SMALL, lr_discriminator=1e200, criterion_vocab=20)
+        dynamic = tuple(dynamic_lambda(small_space.vectors[pairing.source_members(c)],
+                                       target.vectors[pairing.target_members(c)],
+                                       small_space.vectors, target.vectors)
+                        for c in range(2))
+        for fixed, lambdas in ((None, dynamic), (0.25, (0.25, 0.25))):
+            with np.errstate(all="ignore"):
+                pm, criteria = train_multi_gan(single, pairing, small_space, target, cfg,
+                                               lambda_fixed=fixed)
+            assert all(np.isnan(c) for c in criteria)
+            assert pm.lambdas == lambdas
+            for m in pm.maps:
+                assert np.array_equal(m.w, single.w) and m.w is not single.w
+
+
+class TestSamplingContract:
+    def test_language_rows_are_frequent_and_generator_source_is_subspace(
+            self, small_space, monkeypatch):
+        # rows 0..7 are the frequent ones; subspace 1 is the odd rows
+        target = make_space(small_space.n, small_space.dim, seed=33)
+        pairing = tiny_pairing(small_space, pieces=2)
+        cfg = replace(SMALL, epochs=1, steps_per_epoch=10, dis_freq_vocab=8,
+                      criterion_vocab=20)
+        drawn = []
+        sample = gan._sample
+
+        def recording_sample(pool, batch_size, rng):
+            drawn.append(sample(pool, batch_size, rng))
+            return drawn[-1]
+
+        def rows(vectors):
+            return {tuple(v) for v in vectors}
+
+        monkeypatch.setattr(gan, "_sample", recording_sample)
+        top_s, top_t = rows(small_space.vectors[:8]), rows(target.vectors[:8])
+        sub_s = rows(small_space.vectors[pairing.source_members(1)])
+        sub_t = rows(target.vectors[pairing.target_members(1)])
+
+        gan.train_single_gan(small_space, target, cfg)
+        # per step: real, fake (discriminator); source, target (generator)
+        assert len(drawn) == 4 * cfg.steps_per_epoch
+        for real, fake, src, tgt in zip(*[iter(drawn)] * 4):
+            assert rows(real) <= top_t and rows(tgt) <= top_t
+            assert rows(fake) <= top_s and rows(src) <= top_s
+
+        drawn.clear()
+        train_subspace_gan(1, identity_map(small_space.dim), pairing, small_space,
+                           target, cfg, 0.5)
+        # per step: language real, language fake, subspace real, subspace fake
+        # (discriminators); source, language target, subspace target (generator)
+        assert len(drawn) == 7 * cfg.steps_per_epoch
+        for lang_real, lang_fake, sub_real, sub_fake, src, lang_tgt, sub_tgt in \
+                zip(*[iter(drawn)] * 7):
+            assert rows(lang_real) <= top_t and rows(lang_tgt) <= top_t
+            assert rows(lang_fake) <= top_s
+            assert rows(sub_real) <= sub_t and rows(sub_tgt) <= sub_t
+            assert rows(sub_fake) <= sub_s and rows(src) <= sub_s

@@ -6,38 +6,8 @@ from hypothesis import strategies as st
 
 from submap.errors import NumericError, ShapeError, TooFewSamplesError
 from submap.numerics import (MlpDiscriminator, bce_loss_from_logits, covariance_eigenvalues,
-                             init_discriminator, mlp_forward, mlp_sgd_step, svd, _forward)
+                             init_discriminator, mlp_forward, mlp_sgd_step, _forward, _sgd_update)
 from submap.synthetic import random_orthogonal
-
-
-class TestSvd:
-    def test_identity(self):
-        u, s, vt = svd(np.eye(3))
-        assert np.allclose(s, [1, 1, 1])
-
-    def test_diagonal(self):
-        _, s, _ = svd(np.diag([3.0, 2.0, 1.0]))
-        assert np.allclose(s, [3, 2, 1])
-
-    def test_recovers_constructed_singular_values(self):
-        q1 = random_orthogonal(5, 1)
-        q2 = random_orthogonal(5, 2)
-        m = q1 @ np.diag([5.0, 4.0, 3.0, 2.0, 1.0]) @ q2
-        u, s, vt = svd(m)
-        assert np.max(np.abs(s - [5, 4, 3, 2, 1])) < 1e-8
-        assert np.linalg.norm(u @ np.diag(s) @ vt - m) < 1e-8 * np.linalg.norm(m)
-
-    def test_orthogonality_on_random_inputs(self, rng):
-        for _ in range(5):
-            m = rng.normal(size=(10, 10))
-            u, s, vt = svd(m)
-            assert np.linalg.norm(u.T @ u - np.eye(10)) < 1e-8
-            assert np.linalg.norm(vt.T @ vt - np.eye(10)) < 1e-8
-            assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-
-    def test_non_finite_input(self):
-        with pytest.raises(NumericError):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestCovarianceEigenvalues:
@@ -168,3 +138,19 @@ class TestMlp:
         updated, _ = mlp_sgd_step(net, batch, targets, 0.5, np.random.default_rng(2))
         assert np.max(np.abs(updated.w2 - net.w2)) < 1e-12
         assert abs(updated.b2 - net.b2) < 1e-12
+
+
+class TestSgdUpdate:
+    def test_non_finite_loss_raises(self, rng):
+        net = init_discriminator(3, 4, 0.0, rng)
+        grads = (np.zeros_like(net.w1), np.zeros_like(net.b1), np.zeros_like(net.w2), 0.0)
+        with pytest.raises(NumericError):
+            _sgd_update(net, grads, float("nan"), 0.1)
+
+    def test_infinite_gradient_raises_at_zero_lr(self, rng):
+        net = init_discriminator(3, 4, 0.0, rng)
+        dw1 = np.zeros_like(net.w1)
+        dw1[0, 0] = np.inf
+        grads = (dw1, np.zeros_like(net.b1), np.zeros_like(net.w2), 0.0)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            _sgd_update(net, grads, 0.5, 0.0)
