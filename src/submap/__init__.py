@@ -3,7 +3,7 @@ adversarial linear map per source subspace and refines with Procrustes."""
 
 from .embeddings import EmbeddingSpace, iterative_normalize, load_embeddings, save_embeddings
 from .mapping import LinearMap, PiecewiseMap, identity_map
-from .retrieval import SeedDictionary, csls_translate, induce_seed_dictionary, nn_translate
+from .retrieval import SeedDictionary, csls_translate, induce_seed_dictionary
 
 __all__ = [
     "EmbeddingSpace",
@@ -15,6 +15,5 @@ __all__ = [
     "induce_seed_dictionary",
     "iterative_normalize",
     "load_embeddings",
-    "nn_translate",
     "save_embeddings",
 ]

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Partition, merge_clusters
-from .embeddings import EmbeddingSpace, unit_rows
+from .embeddings import EmbeddingSpace
 from .errors import EmptyTargetSubspaceError, ParseError
-from .mapping import LinearMap
+from .mapping import LinearMap, backward_fn
+from .retrieval import _translate
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,8 @@ def partition_target(single_map: LinearMap, source_partition: Partition,
     Raises EmptyTargetSubspaceError when some cluster receives no target
     words; callers either merge those clusters away or abort.
     """
-    from .retrieval import csls_translate
-
-    mapped_back = unit_rows(single_map.transposed().apply(target.vectors))
-    kk = min(k, target.n, source.n)
-    translations = csls_translate(mapped_back, source, kk)
+    _, translations = _translate(backward_fn(single_map), target, np.arange(target.n),
+                                 source, k)
     assignments = source_partition.assignments[translations]
     empty = np.setdiff1d(np.arange(source_partition.c), np.unique(assignments))
     if empty.size:

@@ -19,6 +19,19 @@ from . import pipeline as pl
 from .synthetic import generate_instance
 
 
+# subcommand -> (pipeline stage it runs, help text)
+_STAGE_COMMANDS = {
+    "normalize": ("normalize", "load, normalize and persist both embedding spaces"),
+    "train-single": ("single_gan", "adversarial single-map training with random restarts"),
+    "cluster": ("cluster", "first-neighbor hierarchical clustering of the source space"),
+    "align-subspaces": ("align", "partition the target vocabulary by back-translation"),
+    "train-multi": ("multi_gan", "per-subspace multi-discriminator training"),
+    "refine": ("refine", "Procrustes refinement (mode from config or --refine)"),
+    "induce-dict": ("induce_dict", "export the bidirectional seed dictionary of the final map"),
+    "eval-bli": ("eval", "precision-at-1 evaluation against the gold dictionary"),
+}
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="INI config file")
     p.add_argument("--out", required=True, help="run directory for artifacts")
@@ -59,17 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--resume", action="store_true",
                      help="skip stages whose artifacts already exist")
 
-    stage_commands = {
-        "normalize": "load, normalize and persist both embedding spaces",
-        "train-single": "adversarial single-map training with random restarts",
-        "cluster": "first-neighbor hierarchical clustering of the source space",
-        "align-subspaces": "partition the target vocabulary by back-translation",
-        "train-multi": "per-subspace multi-discriminator training",
-        "refine": "Procrustes refinement (mode from config or --refine)",
-        "induce-dict": "export the bidirectional seed dictionary of the final map",
-        "eval-bli": "precision-at-1 evaluation against the gold dictionary",
-    }
-    for name, help_text in stage_commands.items():
+    for name, (_, help_text) in _STAGE_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name == "eval-bli":
@@ -88,18 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--noise-sigma", type=float, default=0.01)
     gen.add_argument("--seed", type=int, default=0)
     return parser
-
-
-_STAGE_OF_COMMAND = {
-    "normalize": "normalize",
-    "train-single": "single_gan",
-    "cluster": "cluster",
-    "align-subspaces": "align",
-    "train-multi": "multi_gan",
-    "refine": "refine",
-    "induce-dict": "induce_dict",
-    "eval-bli": "eval",
-}
 
 
 def _cmd_synth_gen(args) -> int:
@@ -138,7 +129,7 @@ def main(argv=None) -> int:
             if getattr(args, "kmeans", None):
                 cfg = replace(cfg, evaluation=replace(cfg.evaluation,
                                                       kmeans_k=args.kmeans))
-        stage = _STAGE_OF_COMMAND[args.command]
+        stage = _STAGE_COMMANDS[args.command][0]
         if stage not in pl.stages_for(replace(cfg, stop_after="")):
             raise ConfigError(f"stage {stage!r} is not part of this configuration")
         result = pl.run_stage(run, cfg, stage)

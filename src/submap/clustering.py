@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParseError, TooFewSamplesError
-
-_BLOCK_ELEMENTS = 2 ** 24
+from .retrieval import _block_rows
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def first_neighbors(vectors: np.ndarray) -> np.ndarray:
     if n < 2:
         raise TooFewSamplesError(f"first neighbors need n >= 2, got {n}")
     out = np.empty(n, dtype=np.int64)
-    step = max(1, _BLOCK_ELEMENTS // n)
+    step = _block_rows(n)
     for i in range(0, n, step):
         sims = x[i:i + step] @ x.T
         rows = np.arange(i, min(i + step, n))

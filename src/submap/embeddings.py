@@ -98,7 +98,7 @@ def load_embeddings(path, max_vocab: int) -> EmbeddingSpace:
                     f"line {lineno}: expected {dim} floats for {token!r}, got {len(fields) - 1}"
                 )
             try:
-                vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+                vec = np.array(fields[1:], dtype=np.float64)
             except ValueError:
                 raise ParseError(f"line {lineno}: unparseable float for {token!r}") from None
             if token in seen:

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Partition
-from .embeddings import EmbeddingSpace, unit_rows
+from .embeddings import EmbeddingSpace
 from .errors import EmptyEvaluationError
 from .mapping import MapFn
-from .retrieval import csls_translate
+from .retrieval import _translate
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,21 @@ def _evaluable(gold: dict[str, set[str]], source: EmbeddingSpace,
     return np.array(queries, dtype=np.int64), answers, skipped
 
 
+def _hits(forward: MapFn, gold: dict[str, set[str]], source: EmbeddingSpace,
+          target: EmbeddingSpace, k: int, max_rank: int | None = None):
+    """The evaluable query rows, whether each one's CSLS translation is a
+    gold answer, and the count of gold entries skipped."""
+    if not gold:
+        raise EmptyEvaluationError("gold dictionary is empty")
+    queries, answers, skipped = _evaluable(gold, source, target, max_rank)
+    if queries.size == 0:
+        where = "against these spaces" if max_rank is None else "in the rank window"
+        raise EmptyEvaluationError(f"no gold entry is evaluable {where}")
+    _, retrieved = _translate(forward, source, queries, target, k)
+    hits = np.array([int(r) in gold_set for r, gold_set in zip(retrieved, answers)])
+    return queries, hits, skipped
+
+
 def evaluate_bli(forward: MapFn, gold: dict[str, set[str]], source: EmbeddingSpace,
                  target: EmbeddingSpace, k: int = 10) -> BliReport:
     """P@1 of CSLS retrieval against a gold multimap.
@@ -59,17 +74,8 @@ def evaluate_bli(forward: MapFn, gold: dict[str, set[str]], source: EmbeddingSpa
     Out-of-vocabulary entries are excluded and reported as coverage
     rather than counted wrong.
     """
-    if not gold:
-        raise EmptyEvaluationError("gold dictionary is empty")
-    queries, answers, skipped = _evaluable(gold, source, target)
-    if queries.size == 0:
-        raise EmptyEvaluationError("no gold entry is evaluable against these spaces")
-    mapped = unit_rows(forward(source.vectors[queries], queries))
-    kk = min(k, len(queries), target.n)
-    retrieved = csls_translate(mapped, target, kk)
-    correct = sum(1 for r, gold_set in zip(retrieved, answers) if int(r) in gold_set)
-    return BliReport(p_at_1=correct / len(queries), evaluated=len(queries),
-                     skipped_oov=skipped)
+    queries, hits, skipped = _hits(forward, gold, source, target, k)
+    return BliReport(p_at_1=float(hits.mean()), evaluated=len(queries), skipped_oov=skipped)
 
 
 def per_subspace_accuracy(forward: MapFn, partition: Partition,
@@ -82,17 +88,8 @@ def per_subspace_accuracy(forward: MapFn, partition: Partition,
     the evaluable-count-weighted mean of group accuracies reproduces it
     exactly.  Clusters with nothing to evaluate get a null accuracy.
     """
-    if not gold:
-        raise EmptyEvaluationError("gold dictionary is empty")
-    max_rank = min(vocab_limit, source.n)
-    queries, answers, skipped = _evaluable(gold, source, target, max_rank=max_rank)
-    if queries.size == 0:
-        raise EmptyEvaluationError("no gold entry is evaluable in the rank window")
-    mapped = unit_rows(forward(source.vectors[queries], queries))
-    kk = min(k, len(queries), target.n)
-    retrieved = csls_translate(mapped, target, kk)
-    hits = np.array([int(r) in gold_set for r, gold_set in zip(retrieved, answers)])
-
+    queries, hits, skipped = _hits(forward, gold, source, target, k,
+                                   max_rank=min(vocab_limit, source.n))
     groups = partition.assignments[queries]
     rows = []
     for cid in range(partition.c):

@@ -73,9 +73,6 @@ class PiecewiseMap:
     def dim(self) -> int:
         return self.maps[0].dim
 
-    def map_for(self, cluster_id: int) -> LinearMap:
-        return self.maps[cluster_id]
-
     def apply_source(self, vectors: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Map source rows, each by the map of its source-side subspace."""
         ids = self.pairing.source_partition.assignments[indices]

@@ -48,10 +48,6 @@ class MlpDiscriminator:
     def input_dim(self) -> int:
         return self.w1.shape[1]
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
-
 
 def init_discriminator(dim: int, hidden: int, dropout: float, rng: np.random.Generator,
                        leaky_slope: float = 0.2) -> MlpDiscriminator:

@@ -90,11 +90,14 @@ class RunDir:
             return json.loads(p.read_text(encoding="utf-8"))
         return {"stages": {}, "timings": {}}
 
+    def _write_manifest(self, doc: dict) -> None:
+        self.manifest_path().write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
     def update_manifest(self, **top_level) -> None:
         doc = self.read_manifest()
         doc.update(top_level)
-        self.manifest_path().write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        self._write_manifest(doc)
 
     def record_stage(self, name: str, seed: int, artifacts: list[str],
                      metrics: dict, seconds: float) -> None:
@@ -106,15 +109,13 @@ class RunDir:
             "metrics": metrics,
         }
         doc.setdefault("timings", {})[name] = round(seconds, 3)
-        self.manifest_path().write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        self._write_manifest(doc)
 
     def record_failure(self, name: str, error: Exception) -> None:
         doc = self.read_manifest()
         doc["failure_stage"] = name
         doc["failure"] = f"{type(error).__name__}: {error}"
-        self.manifest_path().write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        self._write_manifest(doc)
 
 
 def _load_normalized(run: RunDir, cfg: PipelineConfig):

@@ -162,11 +162,9 @@ def local_refine(pm: PiecewiseMap, source: EmbeddingSpace, target: EmbeddingSpac
                                     source.vectors[src_rows])
         sub_target = EmbeddingSpace(tuple(target.words[i] for i in tgt_rows),
                                     target.vectors[tgt_rows])
-        local_cfg = replace(cfg, seed=cfg.seed + cid,
-                            csls_k=min(cfg.csls_k, len(src_rows), len(tgt_rows)))
-        initial = pm.maps[cid]
         try:
-            refined, log = refine_linear(initial, sub_source, sub_target, local_cfg)
+            refined, log = refine_linear(pm.maps[cid], sub_source, sub_target,
+                                         replace(cfg, seed=cfg.seed + cid))
         except EmptyDictionaryError:
             continue
         new_maps[cid] = refined

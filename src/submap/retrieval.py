@@ -1,8 +1,10 @@
-"""Translation retrieval (cosine and CSLS), the unsupervised model
-selection criterion, and bidirectional seed-dictionary induction.
+"""CSLS translation retrieval, the unsupervised model selection
+criterion, and bidirectional seed-dictionary induction.
 
 All retrieval assumes unit-norm rows on both sides, breaks score ties
 toward the lowest target index, and is deterministic given an rng.
+Every CSLS lookup in the package goes through `_translate`, which maps,
+normalizes and clamps k in one place.
 """
 
 from __future__ import annotations
@@ -90,15 +92,13 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
     return out
 
 
-def nn_translate(queries, target) -> np.ndarray:
-    """Top-1 target index per query by plain cosine, lowest index on ties."""
-    q_vecs = _rows(queries)
-    t_vecs = _rows(target)
-    out = np.empty(q_vecs.shape[0], dtype=np.int64)
-    step = _block_rows(t_vecs.shape[0])
-    for i in range(0, q_vecs.shape[0], step):
-        out[i:i + step] = (q_vecs[i:i + step] @ t_vecs.T).argmax(axis=1)
-    return out
+def _translate(fn: MapFn, space: EmbeddingSpace, idx: np.ndarray, target: EmbeddingSpace,
+               k: int, keep_prob: float = 1.0,
+               rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows `idx` of `space` mapped by `fn` and unit-normalized, and their
+    CSLS translations into `target` with k clamped to both sides' sizes."""
+    mapped = unit_rows(fn(space.vectors[idx], idx))
+    return mapped, csls_translate(mapped, target, min(k, len(idx), target.n), keep_prob, rng)
 
 
 def selection_criterion(forward: MapFn, source: EmbeddingSpace, target: EmbeddingSpace,
@@ -107,11 +107,8 @@ def selection_criterion(forward: MapFn, source: EmbeddingSpace, target: Embeddin
     translations; higher correlates with mapping quality."""
     if vocab_limit < 1:
         raise ConfigError(f"vocab_limit must be positive, got {vocab_limit}")
-    v = min(vocab_limit, source.n)
-    idx = np.arange(v)
-    mapped = unit_rows(forward(source.vectors[idx], idx))
-    kk = min(k, v, target.n)
-    translated = csls_translate(mapped, target, kk)
+    idx = np.arange(min(vocab_limit, source.n))
+    mapped, translated = _translate(forward, source, idx, target, k)
     return float(np.sum(mapped * target.vectors[translated], axis=1).mean())
 
 
@@ -153,22 +150,14 @@ def induce_seed_dictionary(forward: MapFn, backward: MapFn, source: EmbeddingSpa
     if vocab_limit < 1:
         raise ConfigError(f"vocab_limit must be positive, got {vocab_limit}")
     v = min(vocab_limit, source.n)
-    src_idx = np.arange(v)
-    mapped = unit_rows(forward(source.vectors[src_idx], src_idx))
-    k_fwd = min(k, v, target.n)
-    translations = csls_translate(mapped, target, k_fwd, keep_prob, rng)
-
+    _, translations = _translate(forward, source, np.arange(v), target, k, keep_prob, rng)
     unique_targets = np.unique(translations)
-    back_mapped = unit_rows(backward(target.vectors[unique_targets], unique_targets))
-    k_bwd = min(k, len(unique_targets), source.n)
-    back = csls_translate(back_mapped, source, k_bwd)
-    back_of = dict(zip(unique_targets.tolist(), back.tolist()))
-
-    keep = [(i, int(t)) for i, t in enumerate(translations.tolist()) if back_of[t] == i]
-    if not keep:
+    _, back = _translate(backward, target, unique_targets, source, k)
+    kept = np.flatnonzero(back[np.searchsorted(unique_targets, translations)] == np.arange(v))
+    if kept.size == 0:
         raise EmptyDictionaryError(
             f"no mutual translations among the top {v} source words")
-    return SeedDictionary(np.array(keep, dtype=np.int64))
+    return SeedDictionary(np.column_stack((kept, translations[kept])))
 
 
 def save_dictionary(path, dictionary: SeedDictionary, source: EmbeddingSpace,

@@ -27,6 +27,15 @@ def make_space(n, d, seed=0, prefix="w"):
     return EmbeddingSpace(tuple(f"{prefix}{i}" for i in range(n)), vectors)
 
 
+def brute_force_csls(queries, targets, k):
+    """Dense re-computation of the CSLS scores, no blocking, no shortcuts."""
+    sims = queries @ targets.T
+    r_t = np.sort(sims, axis=1)[:, -k:].mean(axis=1)
+    r_s = np.sort(targets @ queries.T, axis=1)[:, -k:].mean(axis=1)
+    scores = 2 * sims - r_t[:, None] - r_s[None, :]
+    return scores.argmax(axis=1)
+
+
 def write_vec_file(path, lines, header=None):
     body = [header] if header is not None else []
     body.extend(lines)

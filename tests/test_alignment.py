@@ -9,7 +9,7 @@ from submap.errors import EmptyTargetSubspaceError
 from submap.mapping import LinearMap, identity_map
 from submap.synthetic import generate_instance, random_orthogonal
 
-from conftest import make_space
+from conftest import brute_force_csls, make_space
 
 
 def arbitrary_partition(vectors, pieces=3):
@@ -32,6 +32,19 @@ def test_exact_rotation_reproduces_partition(small_space):
     pairing = partition_target(LinearMap(q, orthogonal_hint=True), part,
                                small_space, target, k=3)
     assert np.array_equal(pairing.target_assignments, part.assignments)
+
+
+def test_k_clamped_to_target_size(small_space):
+    # 4 target words to back-translate against k = 10
+    q = random_orthogonal(small_space.dim, 21)
+    target = EmbeddingSpace(("t0", "t1", "t2", "t3"),
+                            unit_rows(small_space.vectors[[3, 8, 1, 14]] @ q.T))
+    part = arbitrary_partition(small_space.vectors, pieces=2)
+    pairing = partition_target(LinearMap(q, orthogonal_hint=True), part,
+                               small_space, target, k=10)
+    back = brute_force_csls(unit_rows(target.vectors @ q), small_space.vectors, 4)
+    assert np.array_equal(pairing.target_assignments, part.assignments[back])
+    assert pairing.pair_sizes() == [(10, 2), (10, 2)]
 
 
 def test_noisy_two_cluster_instance_mostly_agrees():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submap import retrieval
 from submap.clustering import (ClusterHierarchy, Partition, finch_hierarchy,
                                finch_partition, first_neighbors, kmeans,
                                load_assignments, merge_small_clusters, save_assignments,
@@ -90,6 +91,20 @@ class TestFirstNeighbors:
     def test_matches_brute_force(self, rng):
         x = unit_rows(rng.normal(size=(50, 5)))
         assert np.array_equal(first_neighbors(x), brute_force_first_neighbors(x))
+
+    def test_blocked_matches_brute_force(self, monkeypatch):
+        # blocks of 7 rows over 23: three full blocks and a short one.
+        # Sign vectors have exact dot products, so every tie is exact and
+        # each row's self-similarity d is the largest value in its row.
+        n, step = 23, 7
+        x = np.random.default_rng(5).choice([-1.0, 1.0], size=(n, 6))
+        x[7] = x[6]    # identical rows either side of the first boundary
+        x[14] = x[13]  # and of the second
+        monkeypatch.setattr(retrieval, "_BLOCK_ELEMENTS", step * n)
+        assert retrieval._block_rows(n) == step
+        got = first_neighbors(x)
+        assert np.array_equal(got, brute_force_first_neighbors(x))
+        assert got[[6, 7, 13, 14]].tolist() == [7, 6, 14, 13]
 
     def test_identical_vectors_tie_break(self):
         x = unit_rows(np.ones((3, 4)))

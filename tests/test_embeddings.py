@@ -75,6 +75,20 @@ def test_load_wrong_float_count_reports_line(tmp_path):
         load_embeddings(path, max_vocab=10)
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0661\u0662", "nan", "-inf", "1e400", "5e-324",
+                                  "", "1,0", "0x1p3"])
+def test_load_parses_each_value_as_float_does(tmp_path, text):
+    path = write_vec_file(tmp_path / "e.vec", ["a 1 0", f"b {text} 1"], header="2 2")
+    try:
+        expected = float(text)
+    except ValueError:
+        with pytest.raises(ParseError, match="line 3"):
+            load_embeddings(path, max_vocab=10)
+        return
+    got = load_embeddings(path, max_vocab=10).vectors[1]
+    assert np.array_equal(got, [expected, 1.0], equal_nan=True)
+
+
 def test_load_empty_file(tmp_path):
     path = write_vec_file(tmp_path / "e.vec", [], header="0 5")
     with pytest.raises(EmptySpaceError):

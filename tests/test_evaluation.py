@@ -14,7 +14,7 @@ from submap.mapping import LinearMap, forward_fn, identity_map
 from submap.retrieval import gold_multimap
 from submap.synthetic import generate_instance
 
-from conftest import make_space
+from conftest import brute_force_csls, make_space
 
 
 def identity_gold(space):
@@ -157,6 +157,28 @@ class TestPerSubspaceAccuracy:
         by_id = {r.cluster_id: r for r in report.per_subspace}
         assert by_id[1].accuracy is None and by_id[1].evaluated == 0
         assert by_id[0].accuracy == 1.0
+
+
+def test_both_scorers_clamp_k_to_evaluable_queries():
+    # 4 evaluable queries against k = 10; one more gold entry is out of
+    # vocabulary, and w12 lies outside per_subspace_accuracy's rank window
+    space = make_space(20, 5, seed=10)
+    w = np.random.default_rng(4).normal(size=(5, 5))
+    gold = {space.words[i]: {space.words[j] for j in range(i % 3, 20, 3)} for i in range(4)}
+    gold["missing-word"] = {"w0"}
+    retrieved = brute_force_csls(unit_rows(space.vectors[:4] @ w.T), space.vectors, 4)
+    hits = [space.words[r] in gold[space.words[i]] for i, r in enumerate(retrieved)]
+    assert 0 < sum(hits) < 4
+    fwd = forward_fn(LinearMap(w))
+    report = evaluate_bli(fwd, gold, space, space, k=10)
+    assert (report.evaluated, report.p_at_1) == (4, sum(hits) / 4)
+    assignments = np.arange(space.n) % 2
+    part = Partition(assignments, cluster_centroids(space.vectors, assignments))
+    gold["w12"] = {"w12"}
+    report = per_subspace_accuracy(fwd, part, gold, space, space, vocab_limit=10, k=10)
+    assert (report.evaluated, report.p_at_1) == (4, sum(hits) / 4)
+    assert [r.accuracy for r in report.per_subspace] == [(hits[0] + hits[2]) / 2,
+                                                         (hits[1] + hits[3]) / 2]
 
 
 class TestReportFormats:

@@ -9,18 +9,22 @@ from submap.errors import ConfigError, EmptyDictionaryError, ParseError
 from submap.mapping import LinearMap, backward_fn, forward_fn, identity_map
 from submap.retrieval import (SeedDictionary, csls_translate, gold_multimap,
                               induce_seed_dictionary, load_dictionary_tokens,
-                              nn_translate, save_dictionary, selection_criterion)
+                              save_dictionary, selection_criterion)
 
-from conftest import make_space
+from conftest import brute_force_csls, make_space
 
 
-def brute_force_csls(queries, targets, k):
-    """Dense re-computation of the CSLS scores, no blocking, no shortcuts."""
-    sims = queries @ targets.T
-    r_t = np.sort(sims, axis=1)[:, -k:].mean(axis=1)
-    r_s = np.sort(targets @ queries.T, axis=1)[:, -k:].mean(axis=1)
-    scores = 2 * sims - r_t[:, None] - r_s[None, :]
-    return scores.argmax(axis=1)
+def brute_force_mutual_pairs(q, source, target, k):
+    """Mutual CSLS pairs under the orthogonal map q over the whole source
+    vocabulary, recomputed densely with k clamped to each direction's
+    query and target counts."""
+    fwd = brute_force_csls(unit_rows(source.vectors @ q.T), target.vectors,
+                           min(k, source.n, target.n))
+    uniq = np.unique(fwd)
+    back_all = unit_rows(target.vectors @ q)
+    bwd = brute_force_csls(back_all[uniq], source.vectors, min(k, len(uniq)))
+    bwd_of = dict(zip(uniq.tolist(), bwd.tolist()))
+    return [[s, t] for s, t in enumerate(fwd.tolist()) if bwd_of[t] == s]
 
 
 def angled(deg):
@@ -93,31 +97,19 @@ class TestCslsTranslate:
         assert np.array_equal(csls_translate(queries, targets, k=3),
                               csls_translate(queries, rescaled, k=3))
 
-
-class TestNnTranslate:
-    def test_identity(self, small_space):
-        out = nn_translate(small_space.vectors, small_space)
-        assert np.array_equal(out, np.arange(small_space.n))
-
-    def test_hub_divergence_from_csls(self):
-        # hub target close to every query: NN picks it, CSLS penalizes it
+    def test_penalizes_hub(self):
+        # target 0 is the nearest cosine neighbour of every query; CSLS
+        # penalizes that hub
         targets = np.vstack([angled(0), angled(40), angled(-40)])
         queries = np.vstack([angled(19), angled(5), angled(-5)])
-        nn = nn_translate(queries, targets)
         cs = csls_translate(queries, targets, k=2)
         # oracle: manual score computation on the three vectors
         sims = queries @ targets.T
         r_t = np.sort(sims, axis=1)[:, -2:].mean(axis=1)
         r_s = np.sort(targets @ queries.T, axis=1)[:, -2:].mean(axis=1)
         manual = (2 * sims - r_t[:, None] - r_s[None, :]).argmax(axis=1)
-        assert np.array_equal(nn, [0, 0, 0])
         assert np.array_equal(cs, manual)
         assert cs[0] == 1  # the ambiguous query flips away from the hub
-
-    def test_orthogonal_query_breaks_tie_low(self):
-        targets = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        query = np.array([[0.0, 0.0, 1.0]])
-        assert nn_translate(query, targets)[0] == 0
 
 
 class TestSelectionCriterion:
@@ -130,15 +122,17 @@ class TestSelectionCriterion:
     def test_negated_identity_scores_below_identity(self):
         space = make_space(20, 5, seed=10)
         neg = LinearMap(-np.eye(5))
-        crit = selection_criterion(forward_fn(neg), space, space,
-                                   vocab_limit=20, k=10)
-        # oracle: dense recomputation on this fixed seed-10 space
-        mapped = unit_rows(-space.vectors)
-        idx = brute_force_csls(mapped, space.vectors, 10)
-        expected = float(np.mean(np.sum(mapped * space.vectors[idx], axis=1)))
-        assert abs(crit - expected) < 1e-12
-        assert crit < selection_criterion(forward_fn(identity_map(5)), space, space,
-                                          vocab_limit=20, k=10)
+        # vocab_limit 6 < k: k is clamped to the 6 queries
+        for vocab_limit in (20, 6):
+            crit = selection_criterion(forward_fn(neg), space, space,
+                                       vocab_limit=vocab_limit, k=10)
+            # oracle: dense recomputation on this fixed seed-10 space
+            mapped = unit_rows(-space.vectors[:vocab_limit])
+            idx = brute_force_csls(mapped, space.vectors, min(10, vocab_limit))
+            expected = float(np.mean(np.sum(mapped * space.vectors[idx], axis=1)))
+            assert abs(crit - expected) < 1e-12
+            assert crit < selection_criterion(forward_fn(identity_map(5)), space, space,
+                                              vocab_limit=vocab_limit, k=10)
 
     def test_vocab_limit_one(self, small_space):
         crit = selection_criterion(forward_fn(identity_map(small_space.dim)),
@@ -208,14 +202,20 @@ class TestInduceSeedDictionary:
         pairs = induce_seed_dictionary(forward_fn(m), backward_fn(m), source, target,
                                        vocab_limit=30, k=5).pairs
         # independent re-check of the mutual translation property
-        mapped = unit_rows(source.vectors @ q.T)
-        fwd = brute_force_csls(mapped, target.vectors, 5)
-        back_all = unit_rows(target.vectors @ q)
-        uniq = np.unique(fwd)
-        bwd = brute_force_csls(back_all[uniq], source.vectors, min(5, len(uniq)))
-        bwd_of = dict(zip(uniq.tolist(), bwd.tolist()))
-        expected = [[s, t] for s, t in enumerate(fwd.tolist()) if bwd_of[t] == s]
-        assert pairs.tolist() == expected
+        assert pairs.tolist() == brute_force_mutual_pairs(q, source, target, 5)
+
+    def test_k_clamped_to_unique_translations(self):
+        # a 4-word target leaves at most 4 distinct translations to
+        # back-translate, fewer than k = 10
+        source = make_space(30, 4, seed=12)
+        q = np.linalg.qr(np.random.default_rng(11).normal(size=(4, 4)))[0]
+        target = EmbeddingSpace(("t0", "t1", "t2", "t3"),
+                                unit_rows(source.vectors[:4] @ q.T))
+        m = LinearMap(q)
+        pairs = induce_seed_dictionary(forward_fn(m), backward_fn(m), source, target,
+                                       vocab_limit=30, k=10).pairs
+        expected = brute_force_mutual_pairs(q, source, target, 10)
+        assert expected and pairs.tolist() == expected
 
     def test_no_duplicate_source_indices_enforced(self):
         with pytest.raises(ParseError):
