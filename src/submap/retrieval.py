@@ -19,6 +19,9 @@ from .mapping import MapFn
 
 # cap on elements per similarity block, keeps memory bounded on big vocabularies
 _BLOCK_ELEMENTS = 2 ** 24
+# rows (or columns) per slice of a block that the top-k and scoring passes
+# work on: each pass reworks a few MB that stay in cache, not the whole block
+_SLICE = 64
 
 
 def _rows(x) -> np.ndarray:
@@ -29,15 +32,31 @@ def _block_rows(n_cols: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, n_cols))
 
 
+def _row_topk(rows: np.ndarray, k: int) -> np.ndarray:
+    """[n, k]: the k largest entries of each row, in the order introselect
+    leaves them, partitioned a slice of rows at a time in a small buffer."""
+    n, m = rows.shape
+    out = np.empty((n, k))
+    buf = np.empty((min(_SLICE, n), m))
+    for i in range(0, n, _SLICE):
+        part = buf[:min(_SLICE, n - i)]
+        part[...] = rows[i:i + _SLICE]
+        part.partition(m - k, axis=1)
+        out[i:i + _SLICE] = part[:, -k:]
+    return out
+
+
 def topk_mean(sims: np.ndarray, k: int) -> np.ndarray:
     """Mean of the k largest entries in each row of a similarity block."""
-    return np.partition(sims, -k, axis=1)[:, -k:].mean(axis=1)
+    return _row_topk(sims, k).mean(axis=1)
 
 
 def _column_topk(sims: np.ndarray, k: int) -> np.ndarray:
-    """The k largest entries of each column, or every entry when a column
-    has fewer than k.  A copy, so the partitioned block can be freed."""
-    return sims if sims.shape[0] < k else np.partition(sims, -k, axis=0)[-k:].copy()
+    """[n_cols, k]: the k largest entries of each column as a row, or every
+    entry when a column has fewer than k.  Each stripe of columns is
+    partitioned as a contiguous transposed copy."""
+    cols = sims.T
+    return cols.copy() if cols.shape[1] < k else _row_topk(cols, k)
 
 
 def _drop_scores(scores: np.ndarray, keep_prob: float, rng) -> np.ndarray:
@@ -57,10 +76,17 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
     keep_prob < 1 each score survives with that probability and dropped
     scores count as -inf (stochastic dictionary induction).
 
-    Each block of query rows is multiplied against the targets once in
-    the first pass, which takes r_t from the block's rows and merges its
-    columns into a running top-k for r_s.  The second pass scores; when
-    every query fits in one block it reuses that block's product.
+    Query rows go in blocks of at most 2**24 similarities (128 MB), each
+    the float64 product of its rows with every target in one BLAS call,
+    written into one reused buffer.  The first pass takes r_t from each
+    block's rows (`topk_mean`) and merges the block's columns into a
+    running [n_targets, k] top-k for r_s (`_column_topk`).  The second
+    pass scores and takes the argmax; it reuses the product when every
+    query fits in one block and recomputes each block otherwise.  Top-k,
+    scoring, dropout and argmax run on slices of 64 rows or columns, so
+    memory holds one block plus a few slice buffers, and the dropout
+    draws, slice after slice, continue one stream as a single draw over
+    the block would.
     """
     q_vecs = _rows(queries)
     t_vecs = _rows(target)
@@ -72,23 +98,33 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
     if keep_prob < 1.0 and rng is None:
         raise ConfigError("keep_prob < 1 requires an rng")
     step = _block_rows(n_t)
+    block = np.empty((min(step, n_q), n_t))
+
+    def product(i: int) -> np.ndarray:
+        rows = q_vecs[i:i + step]
+        return np.matmul(rows, t_vecs.T, out=block[:len(rows)])
+
     r_t = np.empty(n_q)
-    col_top = None  # [<= k, n_t] largest similarities seen so far per target
+    col_top = None  # [n_t, <= k] largest similarities seen so far per target
     for i in range(0, n_q, step):
-        sims = q_vecs[i:i + step] @ t_vecs.T
+        sims = product(i)
         r_t[i:i + step] = topk_mean(sims, k)
         top = _column_topk(sims, k)
-        col_top = top if col_top is None else _column_topk(np.concatenate((col_top, top)), k)
-    # contiguous rows of k, so the mean sums in the same order as topk_mean
-    r_s = np.ascontiguousarray(col_top.T).mean(axis=1)
+        # each merged row is [top so far, this block's top] of one target
+        col_top = top if col_top is None else _column_topk(
+            np.concatenate((col_top, top), axis=1).T, k)
+    r_s = col_top.mean(axis=1)
     out = np.empty(n_q, dtype=np.int64)
     for i in range(0, n_q, step):
         if n_q > step:
-            sims = q_vecs[i:i + step] @ t_vecs.T
-        sims *= 2.0
-        sims -= r_t[i:i + step, None]
-        sims -= r_s[None, :]
-        out[i:i + step] = _drop_scores(sims, keep_prob, rng).argmax(axis=1)
+            sims = product(i)
+        for j in range(0, len(sims), _SLICE):
+            scores = sims[j:j + _SLICE]
+            rows = slice(i + j, i + j + len(scores))
+            scores *= 2.0
+            scores -= r_t[rows, None]
+            scores -= r_s
+            out[rows] = _drop_scores(scores, keep_prob, rng).argmax(axis=1)
     return out
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from submap.retrieval import (SeedDictionary, csls_translate, gold_multimap,
                               induce_seed_dictionary, load_dictionary_tokens,
                               save_dictionary, selection_criterion)
 
-from conftest import brute_force_csls, make_space
+from conftest import (brute_force_csls, make_space, one_shot_column_topk, one_shot_csls,
+                      one_shot_r_s, one_shot_topk_mean)
 
 
 def brute_force_mutual_pairs(q, source, target, k):
@@ -110,6 +113,63 @@ class TestCslsTranslate:
         manual = (2 * sims - r_t[:, None] - r_s[None, :]).argmax(axis=1)
         assert np.array_equal(cs, manual)
         assert cs[0] == 1  # the ambiguous query flips away from the hub
+
+
+def tied_rows(g, n, d=3):
+    """Unit rows over a coarse grid of {-2, -1, 1, 2}: many rows repeat or
+    are parallel, so many similarities tie."""
+    return unit_rows(g.integers(1, 3, size=(n, d)) * g.choice([-1.0, 1.0], size=(n, d)))
+
+
+class TestSlicedKernel:
+    """The sliced passes against the frozen one-shot kernel, bit for bit,
+    with slices of 3 so that k = 5 spans more than one slice and every
+    slice loop ends on a ragged tail."""
+
+    @pytest.fixture(autouse=True)
+    def thin_slices(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "_SLICE", 3)
+
+    @pytest.mark.parametrize("keep_prob", [1.0, 0.3])
+    @pytest.mark.parametrize("step", [None, 7, 4])  # 1 block; 4 blocks; 6 blocks, each < k rows
+    def test_translations_match_one_shot_kernel(self, monkeypatch, step, keep_prob):
+        k, n_q, n_t = 5, 23, 29
+        if step is not None:
+            monkeypatch.setattr(retrieval, "_BLOCK_ELEMENTS", step * n_t)
+        step = retrieval._block_rows(n_t)
+        for seed in range(10):
+            g = np.random.default_rng(seed)
+            rows = tied_rows if seed % 2 else (lambda g, n: unit_rows(g.normal(size=(n, 4))))
+            queries, targets = rows(g, n_q), rows(g, n_t)
+            got = csls_translate(queries, targets, k, keep_prob, np.random.default_rng(seed))
+            want = one_shot_csls(queries, targets, k, step, keep_prob,
+                                 np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [5, 10])
+    def test_topk_passes_match_one_shot_kernel(self, k):
+        for seed in range(10):
+            g = np.random.default_rng(seed)
+            sims = tied_rows(g, 23) @ tied_rows(g, 29).T if seed % 2 else g.normal(size=(23, 29))
+            assert np.array_equal(retrieval.topk_mean(sims, k), one_shot_topk_mean(sims, k))
+            for block in (sims, sims[:k - 1]):  # a block with fewer than k rows keeps them all
+                assert np.array_equal(retrieval._column_topk(block, k).mean(axis=1),
+                                      one_shot_r_s(one_shot_column_topk(block, k)))
+
+
+@pytest.mark.parametrize("keep_prob", [1.0, 0.9])
+def test_csls_peak_memory_is_one_block(keep_prob):
+    # 2000 x 4000 fits one block; the passes may add slices, not copies of it
+    g = np.random.default_rng(0)
+    queries = unit_rows(g.normal(size=(2000, 300)))
+    targets = unit_rows(g.normal(size=(4000, 300)))
+    tracemalloc.start()
+    try:
+        csls_translate(queries, targets, 10, keep_prob, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2000 * 4000 * 8
 
 
 class TestSelectionCriterion:
