@@ -21,7 +21,8 @@ from .embeddings import EmbeddingSpace
 from .errors import ConfigError, NumericError, TrainingFailedError
 from .mapping import LinearMap, forward_fn, identity_map
 from .numerics import (MlpDiscriminator, bce_input_gradient, bce_loss_from_logits,
-                       init_discriminator, _backward, _dropout_mask, _forward, _sgd_update)
+                       init_discriminator, _dropout_mask, _forward, _param_grads,
+                       _sgd_update)
 from .retrieval import selection_criterion
 
 
@@ -61,6 +62,8 @@ class GanConfig:
             raise ConfigError(f"smoothing must be in [0, 0.5), got {self.smoothing}")
         if not 0.0 <= self.dis_dropout < 1.0:
             raise ConfigError(f"dis_dropout must be in [0, 1), got {self.dis_dropout}")
+        if not 0.0 <= self.dis_leaky_slope <= 1.0:
+            raise ConfigError(f"dis_leaky_slope must be in [0, 1], got {self.dis_leaky_slope}")
         return self
 
 
@@ -112,7 +115,7 @@ def _discriminator_loss_and_grads(dis: MlpDiscriminator, real: np.ndarray,
         mask = _dropout_mask(batch.shape, dis.input_dropout, rng)
         cache = _forward(dis, batch, mask)
         total_loss += bce_loss_from_logits(cache[3], targets)
-        term = _backward(dis, cache, targets)[:4]
+        term = _param_grads(dis, cache, targets)
         grads = term if grads is None else tuple(a + b for a, b in zip(grads, term))
     return total_loss, grads
 

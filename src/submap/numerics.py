@@ -2,7 +2,13 @@
 classifier trained with plain SGD on binary cross-entropy.
 
 Everything here is pure given an explicit numpy Generator, so callers
-own all randomness and repeated runs are bit-identical.
+own all randomness and repeated runs are bit-identical.  Each backward
+path computes only what its caller uses: the discriminator update takes
+the parameter gradients (`_param_grads`), the generator the input
+gradient (`bce_input_gradient`).  The leaky rectifier and its gradient
+multiplier are branch-free `np.maximum` forms, bit-equal to the
+`np.where` forms at every finite or NaN input, -0.0 included, for
+slopes in [0, 1].
 """
 
 from __future__ import annotations
@@ -35,7 +41,11 @@ def covariance_eigenvalues(vectors: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class MlpDiscriminator:
     """Two-layer perceptron with leaky-rectifier hidden units and a
-    sigmoid output, plus optional input dropout during training."""
+    sigmoid output, plus optional input dropout during training.
+
+    `leaky_slope` must lie in [0, 1]: the activation max(z, slope * z)
+    is the leaky rectifier only there (`GanConfig.validate` enforces it).
+    """
 
     w1: np.ndarray  # [h x d]
     b1: np.ndarray  # [h]
@@ -58,20 +68,20 @@ def init_discriminator(dim: int, hidden: int, dropout: float, rng: np.random.Gen
 
 
 def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z >= 0.0, z, slope * z)
+    return np.maximum(z, slope * z)
 
 
 def _leaky_grad(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z >= 0.0, 1.0, slope)
+    """1.0 where z >= 0, else slope (NaN included), as float64."""
+    return np.maximum(z >= 0.0, slope)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    pos = z >= 0.0
+    # exp of -|z| (NaN passes through unchanged), so neither branch overflows
+    e = np.exp(np.where(pos, -z, z))
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, e / d)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -87,7 +97,8 @@ def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray | Non
 
 def _forward(net: MlpDiscriminator, batch: np.ndarray, mask: np.ndarray | None):
     x = batch if mask is None else batch * mask
-    z1 = x @ net.w1.T + net.b1
+    z1 = x @ net.w1.T
+    z1 += net.b1
     a1 = _leaky(z1, net.leaky_slope)
     z2 = a1 @ net.w2.T.ravel() + net.b2
     return x, z1, a1, z2
@@ -113,28 +124,28 @@ def bce_loss_from_logits(z: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(_softplus(z) - targets * z))
 
 
-def _backward(net: MlpDiscriminator, cache, targets: np.ndarray):
-    """Gradients of mean BCE w.r.t. all parameters and the (pre-dropout) input."""
-    x, z1, a1, z2 = cache
-    b = z2.shape[0]
-    p = _sigmoid(z2)
-    g2 = (p - targets) / b                      # dL/dz2, [b]
-    dw2 = (g2 @ a1)[None, :]                    # [1 x h]
-    db2 = float(g2.sum())
-    da1 = np.outer(g2, net.w2.ravel())          # [b x h]
-    dz1 = da1 * _leaky_grad(z1, net.leaky_slope)
-    dw1 = dz1.T @ x
-    db1 = dz1.sum(axis=0)
-    dx = dz1 @ net.w1                           # gradient w.r.t. the dropped input
-    return dw1, db1, dw2, db2, dx
+def _hidden_grads(net: MlpDiscriminator, cache, targets: np.ndarray):
+    """dL/dz2 [b] and dL/dz1 [b x h] of mean BCE: the part of the backward
+    pass that both the parameter and the input gradients start from."""
+    _, z1, _, z2 = cache
+    g2 = (_sigmoid(z2) - targets) / z2.shape[0]
+    dz1 = g2[:, None] * net.w2                  # dL/da1
+    dz1 *= _leaky_grad(z1, net.leaky_slope)
+    return g2, dz1
+
+
+def _param_grads(net: MlpDiscriminator, cache, targets: np.ndarray):
+    """Gradients of mean BCE w.r.t. (w1, b1, w2, b2)."""
+    x, _, a1, _ = cache
+    g2, dz1 = _hidden_grads(net, cache, targets)
+    return dz1.T @ x, dz1.sum(axis=0), (g2 @ a1)[None, :], float(g2.sum())
 
 
 def bce_input_gradient(net: MlpDiscriminator, batch: np.ndarray, targets: np.ndarray):
     """Loss and dL/dbatch of mean BCE with the net in eval mode (no dropout)."""
     cache = _forward(net, np.asarray(batch, dtype=np.float64), None)
     loss = bce_loss_from_logits(cache[3], targets)
-    _, _, _, _, dx = _backward(net, cache, targets)
-    return loss, dx
+    return loss, _hidden_grads(net, cache, targets)[1] @ net.w1
 
 
 def _sgd_update(net: MlpDiscriminator, grads, loss: float, lr: float) -> MlpDiscriminator:
@@ -168,4 +179,4 @@ def mlp_sgd_step(net: MlpDiscriminator, batch: np.ndarray, targets: np.ndarray,
     mask = _dropout_mask(batch.shape, net.input_dropout, rng)
     cache = _forward(net, batch, mask)
     loss = bce_loss_from_logits(cache[3], targets)
-    return _sgd_update(net, _backward(net, cache, targets)[:4], loss, lr), loss
+    return _sgd_update(net, _param_grads(net, cache, targets), loss, lr), loss

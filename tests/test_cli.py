@@ -251,6 +251,15 @@ class TestCliCommands:
         bad.write_text("[run]\nbogus = 1\n", encoding="utf-8")
         assert main(["pipeline", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
+    def test_leaky_slope_above_one_exits_at_config_load(self, tmp_path, synth_dir):
+        cfg_path = write_config(tmp_path, synth_dir)
+        text = cfg_path.read_text(encoding="utf-8")
+        cfg_path.write_text(text.replace("[single_gan]\n", "[single_gan]\ndis_leaky_slope = 1.5\n"),
+                            encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not (out / "manifest.json").exists()
+
     def test_typed_failure_exit_code(self, tmp_path, synth_dir):
         cfg_path = write_config(tmp_path, synth_dir)
         # break the source path: load fails with a ParseError subclass

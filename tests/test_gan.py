@@ -9,11 +9,12 @@ from submap.gan import (Game, GanConfig, discriminator_step, generator_loss_and_
                         generator_step, orthogonalize, random_restart_train,
                         train_single_gan)
 from submap.mapping import LinearMap, forward_fn, identity_map
-from submap.numerics import MlpDiscriminator, init_discriminator
+from submap.numerics import MlpDiscriminator, init_discriminator, mlp_sgd_step
 from submap.retrieval import selection_criterion
 from submap.synthetic import random_orthogonal
 
-from conftest import make_space
+from conftest import (frozen_discriminator_step, frozen_generator_step, frozen_mlp_sgd_step,
+                      make_space)
 
 SMALL = GanConfig(epochs=2, steps_per_epoch=40, batch_size=8, dis_hidden=16,
                   dis_dropout=0.0, criterion_vocab=50, csls_k=5, seed=0)
@@ -43,6 +44,96 @@ def perfect_discriminator(smoothing):
     b2 = z - w2[0, 0]
     return MlpDiscriminator(np.array([[1.0, 0.0]]), np.zeros(1), w2, b2,
                             input_dropout=0.0, leaky_slope=0.2)
+
+
+class TestGanConfig:
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+    def test_leaky_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ConfigError):
+            GanConfig(dis_leaky_slope=slope).validate()
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    def test_leaky_slope_in_unit_interval_accepted(self, slope):
+        assert GanConfig(dis_leaky_slope=slope).validate().dis_leaky_slope == slope
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: unlike ==, tells -0.0 from +0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_nets(a: MlpDiscriminator, b: MlpDiscriminator) -> bool:
+    return (same_bits(a.w1, b.w1) and same_bits(a.b1, b.b1) and same_bits(a.w2, b.w2)
+            and same_bits(np.float64(a.b2), np.float64(b.b2)))
+
+
+class TestStepsMatchFrozenStepMath:
+    """The discriminator, generator and MLP steps against the frozen step
+    math in conftest (`np.where` activations, one five-output backward
+    pass), bit for bit over several steps in a row.  Integer-valued pools
+    and weights put pre-activations at exactly 0.0; -0.0 cannot reach one
+    through a product plus bias, so `TestActivations` in test_numerics
+    covers it directly."""
+
+    D, H, POOL, STEPS = 6, 16, 40, 4
+
+    def pools(self, g, integer):
+        if integer:
+            return g.integers(-2, 3, size=(self.POOL, self.D)).astype(np.float64)
+        return g.normal(size=(self.POOL, self.D))
+
+    def net(self, g, integer, dropout, slope):
+        net = init_discriminator(self.D, self.H, dropout, g, slope)
+        if integer:
+            net = replace(net, w1=g.integers(-2, 3, size=net.w1.shape).astype(np.float64),
+                          b1=g.integers(-2, 3, size=self.H).astype(np.float64))
+        return net
+
+    def start(self, n_games, dropout, slope, integer):
+        g = np.random.default_rng(17)
+        games = tuple(Game(self.net(g, integer, dropout, slope), self.pools(g, integer),
+                           self.pools(g, integer), w)
+                      for w in ((1.0,) if n_games == 1 else (0.7, 0.3)))
+        w = np.eye(self.D) if integer else random_orthogonal(self.D, 3)
+        cfg = replace(SMALL, batch_size=8, dis_dropout=dropout, dis_leaky_slope=slope)
+        return LinearMap(w), games, cfg
+
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("n_games", [1, 2])
+    def test_adversarial_steps(self, n_games, dropout, slope, integer):
+        m, games, cfg = self.start(n_games, dropout, slope, integer)
+        if integer:
+            game = games[0]
+            assert (game.real @ game.dis.w1.T + game.dis.b1 == 0.0).any()
+        m_ref, games_ref = m, games
+        rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(self.STEPS):
+            games, losses = discriminator_step(m, games, cfg, rng)
+            games_ref, losses_ref = frozen_discriminator_step(m_ref, games_ref, cfg, rng_ref)
+            assert same_bits(losses, losses_ref)
+            assert all(same_nets(a.dis, b.dis) for a, b in zip(games, games_ref))
+            m, loss = generator_step(m, games, cfg, rng)
+            m_ref, loss_ref = frozen_generator_step(m_ref, games_ref, cfg, rng_ref)
+            assert same_bits(loss, loss_ref)
+            assert same_bits(m.w, m_ref.w)
+
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_mlp_sgd_step(self, dropout, slope, integer):
+        g = np.random.default_rng(23)
+        net = net_ref = self.net(g, integer, dropout, slope)
+        rng, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(self.STEPS):
+            batch = self.pools(g, integer)[:8]
+            targets = g.uniform(0.05, 0.95, size=8)
+            net, loss = mlp_sgd_step(net, batch, targets, 0.3, rng)
+            net_ref, loss_ref = frozen_mlp_sgd_step(net_ref, batch, targets, 0.3, rng_ref)
+            assert same_bits(loss, loss_ref)
+            assert same_nets(net, net_ref)
 
 
 class TestOrthogonalize:

@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 
 from submap.errors import NumericError, ShapeError, TooFewSamplesError
 from submap.numerics import (MlpDiscriminator, bce_loss_from_logits, covariance_eigenvalues,
-                             init_discriminator, mlp_forward, mlp_sgd_step, _forward, _sgd_update)
+                             init_discriminator, mlp_forward, mlp_sgd_step, _forward, _leaky,
+                             _leaky_grad, _sgd_update, _sigmoid)
 from submap.synthetic import random_orthogonal
+
+from conftest import frozen_leaky, frozen_leaky_grad, frozen_sigmoid
 
 
 class TestCovarianceEigenvalues:
@@ -138,6 +141,28 @@ class TestMlp:
         updated, _ = mlp_sgd_step(net, batch, targets, 0.5, np.random.default_rng(2))
         assert np.max(np.abs(updated.w2 - net.w2)) < 1e-12
         assert abs(updated.b2 - net.b2) < 1e-12
+
+
+class TestActivations:
+    """The branch-free activations against the frozen `np.where` and
+    boolean-indexed forms, bit for bit (`tobytes` tells -0.0 from 0.0)."""
+
+    EDGES = [0.0, -0.0, np.nan, -np.nan, 5e-324, -5e-324, 1e-300, -1e-300, 700.0, -700.0]
+
+    def inputs(self):
+        z = np.concatenate([np.random.default_rng(4).normal(size=200) * 3.0, self.EDGES])
+        return z.reshape(15, 14)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    def test_leaky_and_its_gradient(self, slope):
+        z = self.inputs()
+        assert _leaky(z, slope).tobytes() == frozen_leaky(z, slope).tobytes()
+        assert _leaky_grad(z, slope).dtype == np.float64
+        assert _leaky_grad(z, slope).tobytes() == frozen_leaky_grad(z, slope).tobytes()
+
+    def test_sigmoid(self):
+        z = np.concatenate([self.inputs().ravel(), [np.inf, -np.inf, 800.0, -800.0]])
+        assert _sigmoid(z).tobytes() == frozen_sigmoid(z).tobytes()
 
 
 class TestSgdUpdate:
