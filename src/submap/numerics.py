@@ -77,11 +77,12 @@ def _leaky_grad(z: np.ndarray, slope: float) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    pos = z >= 0.0
-    # exp of -|z| (NaN passes through unchanged), so neither branch overflows
-    e = np.exp(np.where(pos, -z, z))
-    d = 1.0 + e
-    return np.where(pos, 1.0 / d, e / d)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -97,8 +98,7 @@ def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray | Non
 
 def _forward(net: MlpDiscriminator, batch: np.ndarray, mask: np.ndarray | None):
     x = batch if mask is None else batch * mask
-    z1 = x @ net.w1.T
-    z1 += net.b1
+    z1 = x @ net.w1.T + net.b1
     a1 = _leaky(z1, net.leaky_slope)
     z2 = a1 @ net.w2.T.ravel() + net.b2
     return x, z1, a1, z2
@@ -129,8 +129,8 @@ def _hidden_grads(net: MlpDiscriminator, cache, targets: np.ndarray):
     pass that both the parameter and the input gradients start from."""
     _, z1, _, z2 = cache
     g2 = (_sigmoid(z2) - targets) / z2.shape[0]
-    dz1 = g2[:, None] * net.w2                  # dL/da1
-    dz1 *= _leaky_grad(z1, net.leaky_slope)
+    da1 = np.outer(g2, net.w2.ravel())          # [b x h]
+    dz1 = da1 * _leaky_grad(z1, net.leaky_slope)
     return g2, dz1
 
 

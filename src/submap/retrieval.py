@@ -22,11 +22,6 @@ _BLOCK_ELEMENTS = 2 ** 24
 # rows (or columns) per slice of a block that the top-k and scoring passes
 # work on: each pass reworks a few MB that stay in cache, not the whole block
 _SLICE = 64
-# a block row stride that is a multiple of 2 KiB puts the rows of a column
-# stripe into a few cache sets, and `_column_topk` runs 2-2.7x slower; such
-# rows get one cache line (8 float64) of padding
-_ALIAS_BYTES = 2048
-_ROW_PAD = 8
 
 
 def _rows(x) -> np.ndarray:
@@ -35,13 +30,6 @@ def _rows(x) -> np.ndarray:
 
 def _block_rows(n_cols: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, n_cols))
-
-
-def _block(n_rows: int, n_cols: int) -> np.ndarray:
-    """Uninitialized [n_rows, n_cols] float64 block, its row stride padded
-    by one cache line when it would be a multiple of `_ALIAS_BYTES`."""
-    pad = _ROW_PAD if n_cols * 8 % _ALIAS_BYTES == 0 else 0
-    return np.empty((n_rows, n_cols + pad))[:, :n_cols]
 
 
 def _row_topk(rows: np.ndarray, k: int) -> np.ndarray:
@@ -90,8 +78,7 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
 
     Query rows go in blocks of at most 2**24 similarities (128 MB), each
     the float64 product of its rows with every target in one BLAS call,
-    written into one reused buffer (rows padded where their stride would
-    alias in cache, see `_block`).  The first pass takes r_t from each
+    written into one reused buffer.  The first pass takes r_t from each
     block's rows (`topk_mean`) and merges the block's columns into a
     running [n_targets, k] top-k for r_s (`_column_topk`).  The second
     pass scores and takes the argmax; it reuses the product when every
@@ -111,7 +98,7 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
     if keep_prob < 1.0 and rng is None:
         raise ConfigError("keep_prob < 1 requires an rng")
     step = _block_rows(n_t)
-    block = _block(min(step, n_q), n_t)
+    block = np.empty((min(step, n_q), n_t))
 
     def product(i: int) -> np.ndarray:
         rows = q_vecs[i:i + step]

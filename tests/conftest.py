@@ -81,8 +81,8 @@ def one_shot_csls(queries, targets, k, step, keep_prob=1.0, rng=None):
 
 
 # Frozen copy of the adversarial step math as it was before the branch-free
-# rewrite: `np.where` activations, a boolean-indexed sigmoid and one backward
-# pass that returns all five gradients.  The steps in `submap.numerics` and
+# rewrite: `np.where` activations and one backward pass that returns all five
+# gradients.  The steps in `submap.numerics` and
 # `submap.gan` must match it bit for bit.
 
 def frozen_leaky(z, slope):

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from submap.errors import NumericError, ShapeError, TooFewSamplesError
 from submap.numerics import (MlpDiscriminator, bce_loss_from_logits, covariance_eigenvalues,
                              init_discriminator, mlp_forward, mlp_sgd_step, _forward, _leaky,
-                             _leaky_grad, _sgd_update, _sigmoid)
+                             _leaky_grad, _sgd_update)
 from submap.synthetic import random_orthogonal
 
-from conftest import frozen_leaky, frozen_leaky_grad, frozen_sigmoid
+from conftest import frozen_leaky, frozen_leaky_grad
 
 
 class TestCovarianceEigenvalues:
@@ -144,8 +144,8 @@ class TestMlp:
 
 
 class TestActivations:
-    """The branch-free activations against the frozen `np.where` and
-    boolean-indexed forms, bit for bit (`tobytes` tells -0.0 from 0.0)."""
+    """The branch-free activations against the frozen `np.where` forms,
+    bit for bit (`tobytes` tells -0.0 from 0.0)."""
 
     EDGES = [0.0, -0.0, np.nan, -np.nan, 5e-324, -5e-324, 1e-300, -1e-300, 700.0, -700.0]
 
@@ -159,10 +159,6 @@ class TestActivations:
         assert _leaky(z, slope).tobytes() == frozen_leaky(z, slope).tobytes()
         assert _leaky_grad(z, slope).dtype == np.float64
         assert _leaky_grad(z, slope).tobytes() == frozen_leaky_grad(z, slope).tobytes()
-
-    def test_sigmoid(self):
-        z = np.concatenate([self.inputs().ravel(), [np.inf, -np.inf, 800.0, -800.0]])
-        assert _sigmoid(z).tobytes() == frozen_sigmoid(z).tobytes()
 
 
 class TestSgdUpdate:

@@ -158,28 +158,6 @@ class TestSlicedKernel:
 
 
 @pytest.mark.parametrize("keep_prob", [1.0, 0.9])
-@pytest.mark.parametrize("n_t", [256, 512, 1024])
-@pytest.mark.parametrize("step", [None, 64])  # 1 block; 5 blocks
-def test_padded_block_matches_one_shot_kernel(monkeypatch, n_t, step, keep_prob):
-    # widths whose float64 rows are a multiple of 2 KiB get a padded row stride
-    assert retrieval._block(3, n_t).strides[0] == (n_t + retrieval._ROW_PAD) * 8
-    if step is not None:
-        monkeypatch.setattr(retrieval, "_BLOCK_ELEMENTS", step * n_t)
-    g = np.random.default_rng(n_t)
-    queries = unit_rows(g.normal(size=(300, 8)))
-    targets = unit_rows(g.normal(size=(n_t, 8)))
-    got = csls_translate(queries, targets, 10, keep_prob, np.random.default_rng(1))
-    want = one_shot_csls(queries, targets, 10, retrieval._block_rows(n_t), keep_prob,
-                         np.random.default_rng(1))
-    assert np.array_equal(got, want)
-
-
-def test_desk_and_paper_widths_are_not_padded():
-    for n_t in (1200, 4000):
-        assert retrieval._block(3, n_t).strides[0] == n_t * 8
-
-
-@pytest.mark.parametrize("keep_prob", [1.0, 0.9])
 def test_csls_peak_memory_is_one_block(keep_prob):
     # 2000 x 4000 fits one block; the passes may add slices, not copies of it
     g = np.random.default_rng(0)
