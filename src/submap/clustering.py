@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParseError, TooFewSamplesError
-from .retrieval import _block_rows
+from .retrieval import _SLICE
 
 
 @dataclass(frozen=True)
@@ -90,18 +90,23 @@ def cluster_centroids(vectors: np.ndarray, assignments: np.ndarray) -> np.ndarra
 
 
 def first_neighbors(vectors: np.ndarray) -> np.ndarray:
-    """Index of each row's nearest other row by cosine, lowest index on ties."""
+    """Index of each row's nearest other row by cosine, lowest index on ties.
+
+    Similarities are float64 products of 64 rows at a time with every
+    row, written into one reused [64, n] slice buffer, so memory never
+    holds an n x n block.
+    """
     x = np.asarray(vectors, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         raise TooFewSamplesError(f"first neighbors need n >= 2, got {n}")
     out = np.empty(n, dtype=np.int64)
-    step = _block_rows(n)
-    for i in range(0, n, step):
-        sims = x[i:i + step] @ x.T
-        rows = np.arange(i, min(i + step, n))
+    buf = np.empty((min(_SLICE, n), n))
+    for i in range(0, n, _SLICE):
+        sims = np.matmul(x[i:i + _SLICE], x.T, out=buf[:min(_SLICE, n - i)])
+        rows = np.arange(i, min(i + _SLICE, n))
         sims[rows - i, rows] = -np.inf
-        out[i:i + step] = sims.argmax(axis=1)
+        out[i:i + _SLICE] = sims.argmax(axis=1)
     return out
 
 

@@ -184,9 +184,15 @@ def generator_step(m: LinearMap, games: tuple[Game, ...], cfg: GanConfig,
     return orthogonalize(stepped, cfg.beta), loss
 
 
+def _criterion(m: LinearMap, source: EmbeddingSpace, target: EmbeddingSpace,
+               cfg: GanConfig) -> float:
+    return selection_criterion(forward_fn(m), source, target,
+                               vocab_limit=cfg.criterion_vocab, k=cfg.csls_k)
+
+
 def _train(start: LinearMap, games: tuple[Game, ...], source: EmbeddingSpace,
-           target: EmbeddingSpace, cfg: GanConfig,
-           rng: np.random.Generator) -> tuple[LinearMap, float]:
+           target: EmbeddingSpace, cfg: GanConfig, rng: np.random.Generator,
+           start_crit: float | None = None) -> tuple[LinearMap, float]:
     """Alternating adversarial training of `start` against `games`.
 
     Runs `epochs` x `steps_per_epoch` generator steps (each preceded by
@@ -194,13 +200,12 @@ def _train(start: LinearMap, games: tuple[Game, ...], source: EmbeddingSpace,
     selection criterion of `source` against `target` after every epoch,
     decays the learning rates per epoch and halves them whenever the
     criterion drops, and returns the best snapshot with its criterion.
+    `start_crit` is the start's criterion when the caller already has it.
     """
-    def criterion(m: LinearMap) -> float:
-        return selection_criterion(forward_fn(m), source, target,
-                                   vocab_limit=cfg.criterion_vocab, k=cfg.csls_k)
-
     current = start
-    best_map, best_crit = current, criterion(current)
+    if start_crit is None:
+        start_crit = _criterion(start, source, target, cfg)
+    best_map, best_crit = current, start_crit
     prev_crit = best_crit
     lr_g, lr_d = cfg.lr_generator, cfg.lr_discriminator
     for _ in range(cfg.epochs):
@@ -209,7 +214,7 @@ def _train(start: LinearMap, games: tuple[Game, ...], source: EmbeddingSpace,
             for _ in range(cfg.dis_steps_per_gen_step):
                 games, _ = discriminator_step(current, games, epoch_cfg, rng)
             current, _ = generator_step(current, games, epoch_cfg, rng)
-        crit = criterion(current)
+        crit = _criterion(current, source, target, cfg)
         if crit > best_crit:
             best_map, best_crit = current, crit
         if crit < prev_crit:
@@ -221,31 +226,39 @@ def _train(start: LinearMap, games: tuple[Game, ...], source: EmbeddingSpace,
     return best_map, best_crit
 
 
-def train_single_gan(source: EmbeddingSpace, target: EmbeddingSpace,
-                     cfg: GanConfig) -> tuple[LinearMap, float]:
-    """Adversarial training from an identity start in the one language
-    game (weight 1), selected on the whole source vocabulary."""
+def _check_pair(source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanConfig) -> None:
     cfg.validate()
     if source.dim != target.dim:
         raise ConfigError(f"dimension mismatch: {source.dim} vs {target.dim}")
+
+
+def train_single_gan(source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanConfig,
+                     start_crit: float | None = None) -> tuple[LinearMap, float]:
+    """Adversarial training from an identity start in the one language
+    game (weight 1), selected on the whole source vocabulary.
+    `start_crit`, when given, is the identity start's criterion."""
+    _check_pair(source, target, cfg)
     rng = np.random.default_rng(cfg.seed)
     dis = init_discriminator(source.dim, cfg.dis_hidden, cfg.dis_dropout, rng,
                              cfg.dis_leaky_slope)
     games = (language_game(dis, source, target, cfg, 1.0),)
-    return _train(identity_map(source.dim), games, source, target, cfg, rng)
+    return _train(identity_map(source.dim), games, source, target, cfg, rng, start_crit)
 
 
 def random_restart_train(source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanConfig,
                          restarts: int = 10) -> tuple[LinearMap, float]:
-    """Train with seeds seed..seed+restarts-1 and keep the best criterion."""
+    """Train with seeds seed..seed+restarts-1 and keep the best criterion.
+    Every restart starts from the identity, whose criterion is computed once."""
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
+    _check_pair(source, target, cfg)
+    start_crit = _criterion(identity_map(source.dim), source, target, cfg)
     best: tuple[LinearMap, float] | None = None
     failures = []
     for i in range(restarts):
         run_cfg = replace(cfg, seed=cfg.seed + i)
         try:
-            m, crit = train_single_gan(source, target, run_cfg)
+            m, crit = train_single_gan(source, target, run_cfg, start_crit)
         except NumericError as e:
             failures.append(str(e))
             continue

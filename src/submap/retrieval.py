@@ -3,6 +3,8 @@ criterion, and bidirectional seed-dictionary induction.
 
 All retrieval assumes unit-norm rows on both sides, breaks score ties
 toward the lowest target index, and is deterministic given an rng.
+Similarities are float32 products; the top-k means, the scores and
+everything built on them are float64.
 Every CSLS lookup in the package goes through `_translate`, which maps,
 normalizes and clamps k in one place.
 """
@@ -24,8 +26,9 @@ _BLOCK_ELEMENTS = 2 ** 24
 _SLICE = 64
 
 
-def _rows(x) -> np.ndarray:
-    return x.vectors if isinstance(x, EmbeddingSpace) else np.asarray(x, dtype=np.float64)
+def _rows32(x) -> np.ndarray:
+    """A float32 copy of the rows of a space or an array."""
+    return np.array(x.vectors if isinstance(x, EmbeddingSpace) else x, dtype=np.float32)
 
 
 def _block_rows(n_cols: int) -> int:
@@ -36,8 +39,8 @@ def _row_topk(rows: np.ndarray, k: int) -> np.ndarray:
     """[n, k]: the k largest entries of each row, in the order introselect
     leaves them, partitioned a slice of rows at a time in a small buffer."""
     n, m = rows.shape
-    out = np.empty((n, k))
-    buf = np.empty((min(_SLICE, n), m))
+    out = np.empty((n, k), dtype=rows.dtype)
+    buf = np.empty((min(_SLICE, n), m), dtype=rows.dtype)
     for i in range(0, n, _SLICE):
         part = buf[:min(_SLICE, n - i)]
         part[...] = rows[i:i + _SLICE]
@@ -47,8 +50,9 @@ def _row_topk(rows: np.ndarray, k: int) -> np.ndarray:
 
 
 def topk_mean(sims: np.ndarray, k: int) -> np.ndarray:
-    """Mean of the k largest entries in each row of a similarity block."""
-    return _row_topk(sims, k).mean(axis=1)
+    """Float64 mean of the k largest entries in each row of a similarity
+    block, which may be float32."""
+    return _row_topk(sims, k).mean(axis=1, dtype=np.float64)
 
 
 def _column_topk(sims: np.ndarray, k: int) -> np.ndarray:
@@ -76,20 +80,23 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
     keep_prob < 1 each score survives with that probability and dropped
     scores count as -inf (stochastic dictionary induction).
 
-    Query rows go in blocks of at most 2**24 similarities (128 MB), each
-    the float64 product of its rows with every target in one BLAS call,
-    written into one reused buffer.  The first pass takes r_t from each
-    block's rows (`topk_mean`) and merges the block's columns into a
-    running [n_targets, k] top-k for r_s (`_column_topk`).  The second
-    pass scores and takes the argmax; it reuses the product when every
-    query fits in one block and recomputes each block otherwise.  Top-k,
-    scoring, dropout and argmax run on slices of 64 rows or columns, so
-    memory holds one block plus a few slice buffers, and the dropout
-    draws, slice after slice, continue one stream as a single draw over
-    the block would.
+    Query rows go in blocks of at most 2**24 similarities (64 MB), each
+    the float32 product of its rows with every target in one BLAS call,
+    written into one reused buffer; both sides are cast to float32 once
+    per call.  The first pass takes r_t from each block's rows
+    (`topk_mean`) and merges the block's columns into a running
+    [n_targets, k] top-k for r_s (`_column_topk`); both partition in
+    float32 and both means accumulate in float64.  The second pass
+    scores and takes the argmax; it reuses the product when every query
+    fits in one block and recomputes each block otherwise.  Top-k,
+    scoring, dropout and argmax run on slices of 64 rows or columns:
+    each score slice is copied into one reused float64 buffer before
+    2*sim - r_t - r_s, so memory holds one float32 block plus a few
+    slice buffers, and the dropout draws, slice after slice, continue
+    one stream as a single draw over the block would.
     """
-    q_vecs = _rows(queries)
-    t_vecs = _rows(target)
+    q_vecs = _rows32(queries)
+    t_vecs = _rows32(target)
     n_q, n_t = q_vecs.shape[0], t_vecs.shape[0]
     if not 1 <= k <= n_t:
         raise ConfigError(f"k={k} out of range for {n_t} target rows")
@@ -98,7 +105,7 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
     if keep_prob < 1.0 and rng is None:
         raise ConfigError("keep_prob < 1 requires an rng")
     step = _block_rows(n_t)
-    block = np.empty((min(step, n_q), n_t))
+    block = np.empty((min(step, n_q), n_t), dtype=np.float32)
 
     def product(i: int) -> np.ndarray:
         rows = q_vecs[i:i + step]
@@ -113,13 +120,15 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
         # each merged row is [top so far, this block's top] of one target
         col_top = top if col_top is None else _column_topk(
             np.concatenate((col_top, top), axis=1).T, k)
-    r_s = col_top.mean(axis=1)
+    r_s = col_top.mean(axis=1, dtype=np.float64)
     out = np.empty(n_q, dtype=np.int64)
+    buf = np.empty((min(_SLICE, n_q), n_t))
     for i in range(0, n_q, step):
         if n_q > step:
             sims = product(i)
         for j in range(0, len(sims), _SLICE):
-            scores = sims[j:j + _SLICE]
+            scores = buf[:min(_SLICE, len(sims) - j)]
+            scores[...] = sims[j:j + _SLICE]
             rows = slice(i + j, i + j + len(scores))
             scores *= 2.0
             scores -= r_t[rows, None]

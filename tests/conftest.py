@@ -40,7 +40,7 @@ def brute_force_csls(queries, targets, k):
 
 
 def one_shot_topk_mean(sims, k):
-    return np.partition(sims, -k, axis=1)[:, -k:].mean(axis=1)
+    return np.partition(sims, -k, axis=1)[:, -k:].mean(axis=1, dtype=np.float64)
 
 
 def one_shot_column_topk(sims, k):
@@ -50,13 +50,14 @@ def one_shot_column_topk(sims, k):
 
 
 def one_shot_r_s(col_top):
-    return np.ascontiguousarray(col_top.T).mean(axis=1)
+    return np.ascontiguousarray(col_top.T).mean(axis=1, dtype=np.float64)
 
 
 def one_shot_csls(queries, targets, k, step, keep_prob=1.0, rng=None):
-    """Frozen CSLS kernel that partitions and scores each block of `step`
-    query rows in one shot over full copies of the block.  The sliced
-    kernel in `submap.retrieval` must match it bit for bit."""
+    """Frozen CSLS kernel that partitions each float32 block of `step`
+    query rows in one shot and scores a full float64 copy of it.  The
+    sliced kernel in `submap.retrieval` must match it bit for bit."""
+    queries, targets = queries.astype(np.float32), targets.astype(np.float32)
     n_q = len(queries)
     r_t = np.empty(n_q)
     col_top = None
@@ -71,6 +72,7 @@ def one_shot_csls(queries, targets, k, step, keep_prob=1.0, rng=None):
     for i in range(0, n_q, step):
         if n_q > step:
             sims = queries[i:i + step] @ targets.T
+        sims = sims.astype(np.float64)
         sims *= 2.0
         sims -= r_t[i:i + step, None]
         sims -= r_s[None, :]

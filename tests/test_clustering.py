@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submap import retrieval
+from submap import clustering
 from submap.clustering import (ClusterHierarchy, Partition, finch_hierarchy,
                                finch_partition, first_neighbors, kmeans,
                                load_assignments, merge_small_clusters, save_assignments,
@@ -93,18 +95,45 @@ class TestFirstNeighbors:
         assert np.array_equal(first_neighbors(x), brute_force_first_neighbors(x))
 
     def test_blocked_matches_brute_force(self, monkeypatch):
-        # blocks of 7 rows over 23: three full blocks and a short one.
+        # slices of 7 rows over 23: three full slices and a short one.
         # Sign vectors have exact dot products, so every tie is exact and
         # each row's self-similarity d is the largest value in its row.
         n, step = 23, 7
         x = np.random.default_rng(5).choice([-1.0, 1.0], size=(n, 6))
         x[7] = x[6]    # identical rows either side of the first boundary
         x[14] = x[13]  # and of the second
-        monkeypatch.setattr(retrieval, "_BLOCK_ELEMENTS", step * n)
-        assert retrieval._block_rows(n) == step
+        monkeypatch.setattr(clustering, "_SLICE", step)
         got = first_neighbors(x)
         assert np.array_equal(got, brute_force_first_neighbors(x))
         assert got[[6, 7, 13, 14]].tolist() == [7, 6, 14, 13]
+
+    @pytest.mark.parametrize("n, d", [(1200, 10), (4000, 300)])  # desk and paper vocabularies
+    def test_slices_match_one_product(self, n, d):
+        # rows drawn from 40 distinct ones: every row's nearest rows are its
+        # copies, tied, on both sides of the 64-row slice boundaries, and
+        # the lowest-index copy must win
+        g = np.random.default_rng(6)
+        base = unit_rows(g.integers(1, 3, size=(40, d)) * g.choice([-1.0, 1.0], size=(40, d)))
+        ids = g.integers(0, 40, size=n)
+        x = base[ids]
+        sims = x @ x.T
+        np.fill_diagonal(sims, -np.inf)
+        got = first_neighbors(x)
+        assert np.array_equal(got, sims.argmax(axis=1))
+        for copies in (np.flatnonzero(ids == b) for b in range(40)):
+            assert got[copies[0]] == copies[1] and np.all(got[copies[1:]] == copies[0])
+
+    def test_peak_memory_is_one_slice(self):
+        n = 4000
+        x = unit_rows(np.random.default_rng(7).normal(size=(n, 300)))
+        tracemalloc.start()
+        try:
+            first_neighbors(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one [64, n] float64 slice, plus the n-entry result
+        assert peak <= 1.05 * clustering._SLICE * n * 8
 
     def test_identical_vectors_tie_break(self):
         x = unit_rows(np.ones((3, 4)))

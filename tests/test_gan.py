@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from submap.embeddings import EmbeddingSpace, unit_rows
-from submap import gan
+from submap import gan, retrieval
 from submap.errors import ConfigError, NumericError, TrainingFailedError
 from submap.gan import (Game, GanConfig, discriminator_step, generator_loss_and_grad,
                         generator_step, orthogonalize, random_restart_train,
@@ -300,6 +300,21 @@ class TestRandomRestarts:
                    for i in range(3)]
         assert best == max(singles)
 
+    def test_identity_criterion_scored_once(self, small_space, monkeypatch):
+        # every restart starts from the identity: one criterion for it, then
+        # one per epoch of each restart
+        target = make_space(small_space.n, small_space.dim, seed=13)
+        cfg = replace(SMALL, criterion_vocab=small_space.n)
+        csls, calls = retrieval.csls_translate, []
+
+        def counting_csls(*args, **kwargs):
+            calls.append(args)
+            return csls(*args, **kwargs)
+
+        monkeypatch.setattr(retrieval, "csls_translate", counting_csls)
+        random_restart_train(small_space, target, cfg, restarts=3)
+        assert len(calls) == 1 + 3 * cfg.epochs
+
     def test_deterministic_choice(self, small_space):
         target = make_space(small_space.n, small_space.dim, seed=14)
         cfg = replace(SMALL, criterion_vocab=small_space.n)
@@ -324,10 +339,10 @@ class TestDivergence:
         cfg = replace(SMALL, criterion_vocab=small_space.n)
         train = gan.train_single_gan
 
-        def diverge_on_odd_seeds(source, target, run_cfg):
+        def diverge_on_odd_seeds(source, target, run_cfg, *args):
             if run_cfg.seed % 2:
                 raise NumericError("diverged")
-            return train(source, target, run_cfg)
+            return train(source, target, run_cfg, *args)
 
         monkeypatch.setattr(gan, "train_single_gan", diverge_on_odd_seeds)
         m, crit = random_restart_train(small_space, target, cfg, restarts=4)

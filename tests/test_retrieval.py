@@ -151,15 +151,19 @@ class TestSlicedKernel:
         for seed in range(10):
             g = np.random.default_rng(seed)
             sims = tied_rows(g, 23) @ tied_rows(g, 29).T if seed % 2 else g.normal(size=(23, 29))
-            assert np.array_equal(retrieval.topk_mean(sims, k), one_shot_topk_mean(sims, k))
-            for block in (sims, sims[:k - 1]):  # a block with fewer than k rows keeps them all
-                assert np.array_equal(retrieval._column_topk(block, k).mean(axis=1),
-                                      one_shot_r_s(one_shot_column_topk(block, k)))
+            for dtype in (np.float64, np.float32):  # either block dtype
+                sims = sims.astype(dtype)
+                assert np.array_equal(retrieval.topk_mean(sims, k), one_shot_topk_mean(sims, k))
+                for block in (sims, sims[:k - 1]):  # fewer than k rows: keeps them all
+                    r_s = retrieval._column_topk(block, k).mean(axis=1, dtype=np.float64)
+                    assert np.array_equal(r_s, one_shot_r_s(one_shot_column_topk(block, k)))
 
 
 @pytest.mark.parametrize("keep_prob", [1.0, 0.9])
 def test_csls_peak_memory_is_one_block(keep_prob):
-    # 2000 x 4000 fits one block; the passes may add slices, not copies of it
+    # 2000 x 4000 fits one float32 block; beyond it and the float32 copies
+    # of both sides, the passes may add one float64 score slice and small
+    # buffers, not copies of the block
     g = np.random.default_rng(0)
     queries = unit_rows(g.normal(size=(2000, 300)))
     targets = unit_rows(g.normal(size=(4000, 300)))
@@ -169,7 +173,19 @@ def test_csls_peak_memory_is_one_block(keep_prob):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 2000 * 4000 * 8
+    assert peak <= 1.1 * (2000 * 4000 * 4 + (2000 + 4000) * 300 * 4 + retrieval._SLICE * 4000 * 8)
+
+
+@pytest.mark.parametrize("n_q, n_t, d, rows", [
+    (2000, 4000, 300, None),  # one block of the paper shape
+    (300, 400, 3, tied_rows),  # many exact ties, broken toward the lowest index
+])
+def test_float32_kernel_matches_float64_oracle(n_q, n_t, d, rows):
+    g = np.random.default_rng(3)
+    rows = rows or (lambda g, n, d: unit_rows(g.normal(size=(n, d))))
+    queries, targets = rows(g, n_q, d), rows(g, n_t, d)
+    assert np.array_equal(csls_translate(queries, targets, 10),
+                          brute_force_csls(queries, targets, 10))
 
 
 class TestSelectionCriterion:
