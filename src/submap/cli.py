@@ -56,6 +56,10 @@ def _resolve(args) -> PipelineConfig:
         cfg = replace(cfg, refine_mode=args.refine)
     if getattr(args, "stage", None):
         cfg = replace(cfg, stop_after=args.stage)
+    if getattr(args, "per_subspace", False):
+        cfg = replace(cfg, evaluation=replace(cfg.evaluation, per_subspace=True))
+    if getattr(args, "kmeans", None) is not None:
+        cfg = replace(cfg, evaluation=replace(cfg.evaluation, kmeans_k=args.kmeans))
     validate_config(cfg)
     return cfg
 
@@ -94,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth_gen(args) -> int:
+    from .clustering import save_assignments
     from .embeddings import save_embeddings
 
     inst = generate_instance(args.clusters, args.per_cluster, args.dim,
@@ -105,9 +110,7 @@ def _cmd_synth_gen(args) -> int:
     with open(out / "gold.tsv", "w", encoding="utf-8", newline="\n") as f:
         for s, t in inst.gold:
             f.write(f"{s}\t{t}\n")
-    with open(out / "labels.tsv", "w", encoding="utf-8", newline="\n") as f:
-        for w, lab in zip(inst.source.words, inst.labels):
-            f.write(f"{w}\t{lab}\n")
+    save_assignments(out / "labels.tsv", inst.source.words, inst.labels)
     print(f"wrote synthetic instance ({inst.source.n} words, d={inst.source.dim}) to {out}")
     return 0
 
@@ -123,12 +126,6 @@ def main(argv=None) -> int:
             pl.run_pipeline(cfg, args.out, resume=args.resume)
             print(f"pipeline complete; artifacts in {run.root}")
             return 0
-        if args.command == "eval-bli":
-            if getattr(args, "per_subspace", False):
-                cfg = replace(cfg, evaluation=replace(cfg.evaluation, per_subspace=True))
-            if getattr(args, "kmeans", None):
-                cfg = replace(cfg, evaluation=replace(cfg.evaluation,
-                                                      kmeans_k=args.kmeans))
         stage = _STAGE_COMMANDS[args.command][0]
         if stage not in pl.stages_for(replace(cfg, stop_after="")):
             raise ConfigError(f"stage {stage!r} is not part of this configuration")

@@ -66,16 +66,8 @@ class ClusterHierarchy:
 
 def _relabel(assignments: np.ndarray) -> np.ndarray:
     """Renumber cluster labels to 0..c-1 in order of first appearance."""
-    _, inverse = np.unique(assignments, return_inverse=True)
-    order = {}
-    labels = np.empty_like(inverse)
-    nxt = 0
-    for i, v in enumerate(inverse):
-        if v not in order:
-            order[v] = nxt
-            nxt += 1
-        labels[i] = order[v]
-    return labels
+    _, first, inverse = np.unique(assignments, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def cluster_centroids(vectors: np.ndarray, assignments: np.ndarray) -> np.ndarray:
@@ -231,11 +223,7 @@ def kmeans(vectors: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> 
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        sums = np.zeros((k, x.shape[1]))
-        np.add.at(sums, assignments, x)
-        norms = np.linalg.norm(sums, axis=1)
-        norms[norms == 0.0] = 1.0
-        centroids = sums / norms[:, None]
+        centroids = cluster_centroids(x, assignments)
     assignments = _relabel(assignments)
     return Partition(assignments, cluster_centroids(x, assignments))
 

@@ -67,16 +67,20 @@ class PipelineConfig:
             else self.single_gan
 
 
+# INI section -> the PipelineConfig field it overrides, applied in this
+# order so that [multi_gan] starts from the resolved [single_gan]
 _SECTIONS = {
     "run": None,
-    "data": DataConfig,
-    "single_gan": GanConfig,
-    "multi_gan": GanConfig,
-    "clustering": ClusterConfig,
-    "multi": MultiGanConfig,
-    "refinement": RefineConfig,
-    "evaluation": EvalConfig,
+    "data": "data",
+    "single_gan": "single_gan",
+    "multi_gan": "multi_gan_overrides",
+    "clustering": "cluster",
+    "multi": "multi",
+    "refinement": "refine",
+    "evaluation": "evaluation",
 }
+_RUN_KEYS = {"seed": int, "restart_budget": int, "single_restarts": int,
+             "refine_mode": str, "stop_after": str}
 
 
 def _coerce(value: str, to_type):
@@ -93,18 +97,13 @@ def _coerce(value: str, to_type):
         raise ConfigError(f"expected {to_type.__name__}, got {value!r}") from None
 
 
-def _apply_section(cfg_obj, parser: configparser.ConfigParser, section: str):
-    if not parser.has_section(section):
-        return cfg_obj
-    known = {f.name: f.type for f in fields(cfg_obj)}
+def _parse_section(parser: configparser.ConfigParser, section: str, types: dict) -> dict:
     updates = {}
     for key, raw in parser.items(section):
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"[{section}] has unknown key {key!r}")
-        current = getattr(cfg_obj, key)
-        to_type = type(current) if current is not None else str
-        updates[key] = _coerce(raw, to_type)
-    return replace(cfg_obj, **updates)
+        updates[key] = _coerce(raw, types[key])
+    return updates
 
 
 def load_config(path) -> PipelineConfig:
@@ -116,24 +115,16 @@ def load_config(path) -> PipelineConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
     cfg = PipelineConfig()
-    run_updates = {}
-    if parser.has_section("run"):
-        allowed = {"seed": int, "restart_budget": int, "single_restarts": int,
-                   "refine_mode": str, "stop_after": str}
-        for key, raw in parser.items("run"):
-            if key not in allowed:
-                raise ConfigError(f"[run] has unknown key {key!r}")
-            run_updates[key] = _coerce(raw, allowed[key])
-    cfg = replace(cfg, **run_updates)
-    cfg = replace(cfg, data=_apply_section(cfg.data, parser, "data"))
-    cfg = replace(cfg, single_gan=_apply_section(cfg.single_gan, parser, "single_gan"))
-    if parser.has_section("multi_gan"):
-        base = cfg.multi_gan_overrides or cfg.single_gan
-        cfg = replace(cfg, multi_gan_overrides=_apply_section(base, parser, "multi_gan"))
-    cfg = replace(cfg, cluster=_apply_section(cfg.cluster, parser, "clustering"))
-    cfg = replace(cfg, multi=_apply_section(cfg.multi, parser, "multi"))
-    cfg = replace(cfg, refine=_apply_section(cfg.refine, parser, "refinement"))
-    cfg = replace(cfg, evaluation=_apply_section(cfg.evaluation, parser, "evaluation"))
+    for section, name in _SECTIONS.items():
+        if not parser.has_section(section):
+            continue
+        if name is None:
+            cfg = replace(cfg, **_parse_section(parser, section, _RUN_KEYS))
+            continue
+        base = cfg.multi_gan if section == "multi_gan" else getattr(cfg, name)
+        # stage seeds derive from [run] seed alone, so no section sets one
+        types = {f.name: type(getattr(base, f.name)) for f in fields(base) if f.name != "seed"}
+        cfg = replace(cfg, **{name: replace(base, **_parse_section(parser, section, types))})
     validate_config(cfg)
     return cfg
 
@@ -149,6 +140,18 @@ def validate_config(cfg: PipelineConfig) -> None:
         raise ConfigError(f"single_restarts must be >= 1, got {cfg.single_restarts}")
     if cfg.restart_budget < 0:
         raise ConfigError(f"restart_budget must be >= 0, got {cfg.restart_budget}")
+    for name, value, low in (("data.max_vocab", cfg.data.max_vocab, 1),
+                             ("data.normalize_iterations", cfg.data.normalize_iterations, 1),
+                             ("clustering.align_csls_k", cfg.cluster.align_csls_k, 1),
+                             ("clustering.min_cluster_size", cfg.cluster.min_cluster_size, 0),
+                             ("evaluation.csls_k", cfg.evaluation.csls_k, 1),
+                             ("evaluation.vocab_limit", cfg.evaluation.vocab_limit, 1),
+                             ("evaluation.kmeans_k", cfg.evaluation.kmeans_k, 0)):
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+    level = cfg.cluster.level
+    if level not in ("last", "second_to_last") and not level.isdecimal():
+        raise ConfigError(f"clustering.level must be last|second_to_last|<index>, got {level!r}")
     cfg.single_gan.validate()
     cfg.multi_gan.validate()
     cfg.refine.validate()

@@ -38,26 +38,6 @@ from .refinement import global_refine, local_refine, refine_linear
 from .retrieval import (gold_multimap, induce_seed_dictionary, load_dictionary_tokens,
                         save_dictionary)
 
-STAGES = ("normalize", "single_gan", "cluster", "align", "multi_gan",
-          "refine", "induce_dict", "eval")
-
-
-def stages_for(cfg: PipelineConfig) -> tuple[str, ...]:
-    """The stage sequence a config implies; single-map refinement skips
-    the clustering and multi-GAN stages entirely."""
-    order = list(STAGES)
-    if cfg.refine_mode == "single":
-        for name in ("cluster", "align", "multi_gan"):
-            order.remove(name)
-    if not cfg.data.gold:
-        order.remove("eval")
-    if cfg.stop_after:
-        if cfg.stop_after not in order:
-            raise ConfigError(f"stop_after names unknown or skipped stage {cfg.stop_after!r}")
-        order = order[:order.index(cfg.stop_after) + 1]
-    return tuple(order)
-
-
 class RunDir:
     """Artifact paths and the manifest for one run directory."""
 
@@ -112,10 +92,7 @@ class RunDir:
         self._write_manifest(doc)
 
     def record_failure(self, name: str, error: Exception) -> None:
-        doc = self.read_manifest()
-        doc["failure_stage"] = name
-        doc["failure"] = f"{type(error).__name__}: {error}"
-        self._write_manifest(doc)
+        self.update_manifest(failure_stage=name, failure=f"{type(error).__name__}: {error}")
 
 
 def _load_normalized(run: RunDir, cfg: PipelineConfig):
@@ -174,7 +151,7 @@ def load_final_mapping(run: RunDir, source: EmbeddingSpace, target: EmbeddingSpa
     return forward_fn(pm), backward_fn(pm), pm
 
 
-def stage_normalize(run: RunDir, cfg: PipelineConfig) -> dict:
+def stage_normalize(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     if not cfg.data.source or not cfg.data.target:
         raise ConfigError("data.source and data.target must name embedding files")
     source = load_embeddings(cfg.data.source, cfg.data.max_vocab)
@@ -204,7 +181,7 @@ def stage_single_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
                         "restarts": cfg.single_restarts}}
 
 
-def stage_cluster(run: RunDir, cfg: PipelineConfig) -> dict:
+def stage_cluster(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     source, _ = _load_normalized(run, cfg)
     hierarchy = finch_hierarchy(source.vectors)
     partition = select_level(hierarchy, cfg.cluster.level)
@@ -218,7 +195,7 @@ def stage_cluster(run: RunDir, cfg: PipelineConfig) -> dict:
                         "cluster_sizes": partition.sizes().tolist()}}
 
 
-def stage_align(run: RunDir, cfg: PipelineConfig) -> dict:
+def stage_align(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     source, target = _load_normalized(run, cfg)
     single = load_linear_map(run.path("single_map.txt"))
     partition = _load_partition(run, source)
@@ -258,44 +235,36 @@ def stage_refine(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     source, target = _load_normalized(run, cfg)
     refine_cfg = replace(cfg.refine, seed=seed)
     metrics: dict = {"mode": cfg.refine_mode}
-    artifacts: list[str]
+    logs: dict = {}  # log file name -> refinement steps
     if cfg.refine_mode == "single":
         single = load_linear_map(run.path("single_map.txt"))
         refined, log = refine_linear(single, source, target, refine_cfg)
-        _write_refine_log(run.path("refine_log.tsv"), log)
-        artifacts = _save_mapset(run, "final", "single", [refined],
-                                 {"objective": log[-1].objective if log else None})
-        artifacts.append("refine_log.tsv")
-        metrics["objective"] = max(s.objective for s in log)
-        return {"artifacts": artifacts, "metrics": metrics}
-
-    meta, maps = _load_mapset(run, "multi")
-    pairing = _load_pairing(run, source, target)
-    pm = PiecewiseMap(pairing, tuple(maps), tuple(meta["lambdas"]))
-    if cfg.refine_mode == "none":
-        artifacts = _save_mapset(run, "final", "piecewise", list(pm.maps),
-                                 {"lambdas": list(pm.lambdas)})
-        return {"artifacts": artifacts, "metrics": metrics}
-    if cfg.refine_mode == "global":
-        refined, log = global_refine(pm, source, target, refine_cfg)
-        _write_refine_log(run.path("refine_log.tsv"), log)
-        metrics["objective"] = max(s.objective for s in log)
-        extra = ["refine_log.tsv"]
+        logs["refine_log.tsv"] = log
+        kind, maps = "single", [refined]
+        meta = {"objective": log[-1].objective if log else None}
     else:
-        refined, logs = local_refine(pm, source, target, refine_cfg)
-        extra = []
-        for cid, log in sorted(logs.items()):
-            name = f"refine_log_{cid:03d}.tsv"
-            _write_refine_log(run.path(name), log)
-            extra.append(name)
-        metrics["refined_subspaces"] = sorted(int(c) for c in logs)
-    artifacts = _save_mapset(run, "final", "piecewise", list(refined.maps),
-                             {"lambdas": list(refined.lambdas)})
-    artifacts.extend(extra)
-    return {"artifacts": artifacts, "metrics": metrics}
+        multi_meta, multi_maps = _load_mapset(run, "multi")
+        pairing = _load_pairing(run, source, target)
+        pm = PiecewiseMap(pairing, tuple(multi_maps), tuple(multi_meta["lambdas"]))
+        if cfg.refine_mode == "global":
+            pm, log = global_refine(pm, source, target, refine_cfg)
+            logs["refine_log.tsv"] = log
+        elif cfg.refine_mode == "local":
+            pm, by_cluster = local_refine(pm, source, target, refine_cfg)
+            for cid, log in sorted(by_cluster.items()):
+                logs[f"refine_log_{cid:03d}.tsv"] = log
+            metrics["refined_subspaces"] = sorted(int(c) for c in by_cluster)
+        kind, maps = "piecewise", list(pm.maps)
+        meta = {"lambdas": list(pm.lambdas)}
+    for name, log in logs.items():
+        _write_refine_log(run.path(name), log)
+    if "refine_log.tsv" in logs:
+        metrics["objective"] = max(s.objective for s in logs["refine_log.tsv"])
+    artifacts = _save_mapset(run, "final", kind, maps, meta)
+    return {"artifacts": artifacts + list(logs), "metrics": metrics}
 
 
-def stage_induce_dict(run: RunDir, cfg: PipelineConfig) -> dict:
+def stage_induce_dict(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     source, target = _load_normalized(run, cfg)
     fwd, bwd, _ = load_final_mapping(run, source, target)
     dictionary = induce_seed_dictionary(fwd, bwd, source, target,
@@ -305,7 +274,7 @@ def stage_induce_dict(run: RunDir, cfg: PipelineConfig) -> dict:
     return {"artifacts": ["seed_dict.tsv"], "metrics": {"pairs": len(dictionary)}}
 
 
-def stage_eval(run: RunDir, cfg: PipelineConfig) -> dict:
+def stage_eval(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     if not cfg.data.gold:
         raise ConfigError("eval stage needs data.gold")
     source, target = _load_normalized(run, cfg)
@@ -335,27 +304,33 @@ def stage_eval(run: RunDir, cfg: PipelineConfig) -> dict:
                         "skipped_oov": report.skipped_oov}}
 
 
+STAGES = {"normalize": stage_normalize, "single_gan": stage_single_gan,
+          "cluster": stage_cluster, "align": stage_align, "multi_gan": stage_multi_gan,
+          "refine": stage_refine, "induce_dict": stage_induce_dict, "eval": stage_eval}
+
+
+def stages_for(cfg: PipelineConfig) -> tuple[str, ...]:
+    """The stage sequence a config implies; single-map refinement skips
+    the clustering and multi-GAN stages entirely."""
+    order = list(STAGES)
+    if cfg.refine_mode == "single":
+        for name in ("cluster", "align", "multi_gan"):
+            order.remove(name)
+    if not cfg.data.gold:
+        order.remove("eval")
+    if cfg.stop_after:
+        if cfg.stop_after not in order:
+            raise ConfigError(f"stop_after names unknown or skipped stage {cfg.stop_after!r}")
+        order = order[:order.index(cfg.stop_after) + 1]
+    return tuple(order)
+
+
 def run_stage(run: RunDir, cfg: PipelineConfig, name: str, attempt: int = 0) -> dict:
+    if name not in STAGES:
+        raise ConfigError(f"unknown stage {name!r}")
     seed = derive_seed(cfg.seed, name, str(attempt))
     started = time.monotonic()
-    if name == "normalize":
-        result = stage_normalize(run, cfg)
-    elif name == "single_gan":
-        result = stage_single_gan(run, cfg, seed)
-    elif name == "cluster":
-        result = stage_cluster(run, cfg)
-    elif name == "align":
-        result = stage_align(run, cfg)
-    elif name == "multi_gan":
-        result = stage_multi_gan(run, cfg, seed)
-    elif name == "refine":
-        result = stage_refine(run, cfg, seed)
-    elif name == "induce_dict":
-        result = stage_induce_dict(run, cfg)
-    elif name == "eval":
-        result = stage_eval(run, cfg)
-    else:
-        raise ConfigError(f"unknown stage {name!r}")
+    result = STAGES[name](run, cfg, seed)
     run.record_stage(name, seed, result["artifacts"], result["metrics"],
                      time.monotonic() - started)
     return result

@@ -162,8 +162,6 @@ class SeedDictionary:
     """Induced (source_index, target_index) pairs, one per source word."""
 
     pairs: np.ndarray  # [m x 2] int
-    source_space_id: str = "source"
-    target_space_id: str = "target"
 
     def __post_init__(self):
         pairs = np.ascontiguousarray(self.pairs, dtype=np.int64)

@@ -1,3 +1,4 @@
+import configparser
 import json
 import shutil
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from submap.cli import main
+from submap.cli import _STAGE_COMMANDS, main
 from submap.config import PipelineConfig, config_digest, derive_seed, load_config
 from submap.errors import ConfigError
 from submap import pipeline
@@ -67,6 +68,17 @@ def write_config(tmp_path, synth_dir, refine_mode="global"):
     return cfg_path
 
 
+def set_value(cfg_path, section, key, value):
+    parser = configparser.ConfigParser()
+    parser.read(cfg_path, encoding="utf-8")
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    with open(cfg_path, "w", encoding="utf-8") as f:
+        parser.write(f)
+    return cfg_path
+
+
 def manifest_without_timings(path):
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     doc.pop("timings", None)
@@ -99,6 +111,20 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
+
+    def test_boundary_values_load(self, tmp_path, synth_dir):
+        cfg_path = write_config(tmp_path, synth_dir)
+        for section, key, value in (("data", "max_vocab", "1"),
+                                    ("data", "normalize_iterations", "1"),
+                                    ("clustering", "level", "0"),
+                                    ("clustering", "min_cluster_size", "0"),
+                                    ("clustering", "align_csls_k", "1"),
+                                    ("evaluation", "csls_k", "1"),
+                                    ("evaluation", "vocab_limit", "1"),
+                                    ("evaluation", "kmeans_k", "0")):
+            set_value(cfg_path, section, key, value)
+        cfg = load_config(cfg_path)
+        assert cfg.cluster.level == "0" and cfg.data.max_vocab == 1
 
     def test_derive_seed_is_stable_and_stage_specific(self):
         assert derive_seed(3, "cluster", "0") == derive_seed(3, "cluster", "0")
@@ -211,6 +237,36 @@ class TestPipeline:
         assert meta["kind"] == "single"
         assert "p_at_1" in stages["eval"]["metrics"]
 
+    @pytest.mark.parametrize("mode", ["none", "local"])
+    def test_piecewise_refine_modes(self, tmp_path, synth_dir, mode):
+        cfg = load_config(write_config(tmp_path, synth_dir, refine_mode=mode))
+        out = tmp_path / mode
+        run = run_pipeline(cfg, out)
+        stages = run.read_manifest()["stages"]
+        refine = stages["refine"]
+        count = len(stages["multi_gan"]["metrics"]["lambdas"])
+        maps = [f"final/map_{i:03d}.txt" for i in range(count)]
+        if mode == "none":
+            logs = []
+            assert list(refine["metrics"]) == ["mode"]
+            for name in maps:
+                multi = out / name.replace("final", "multi")
+                assert (out / name).read_bytes() == multi.read_bytes()
+        else:
+            subspaces = refine["metrics"]["refined_subspaces"]
+            assert subspaces
+            logs = [f"refine_log_{c:03d}.tsv" for c in subspaces]
+            assert sorted(refine["metrics"]) == ["mode", "refined_subspaces"]
+        assert refine["metrics"]["mode"] == mode
+        assert refine["artifacts"] == maps + ["final/meta.json"] + logs
+        source = run.load_space("source.norm.vec", cfg.data.max_vocab)
+        target = run.load_space("target.norm.vec", cfg.data.max_vocab)
+        _, _, pm = pipeline.load_final_mapping(run, source, target)
+        assert len(pm.maps) == count
+        for m, name in zip(pm.maps, maps):
+            assert np.array_equal(m.w, load_linear_map(out / name).w)
+        assert "p_at_1" in stages["eval"]["metrics"]
+
     def test_resume_skips_completed_stages(self, tmp_path, synth_dir):
         cfg = load_config(write_config(tmp_path, synth_dir))
         out = tmp_path / "resume"
@@ -246,6 +302,22 @@ class TestCliCommands:
             assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "report.json").exists()
 
+    def test_eval_bli_kmeans_table(self, tmp_path, synth_dir):
+        cfg_path = write_config(tmp_path, synth_dir, refine_mode="single")
+        out = tmp_path / "kmeans"
+        for cmd in ("normalize", "train-single", "refine"):
+            assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
+        eval_bli = ["eval-bli", "--config", str(cfg_path), "--out", str(out), "--kmeans"]
+        assert main(eval_bli + ["-1"]) == 2
+        assert not (out / "report.json").exists()
+        assert main(eval_bli + ["3"]) == 0
+        header, *rows = (out / "per_subspace.tsv").read_text(encoding="utf-8").splitlines()
+        assert header == "cluster_id\tevaluated\taccuracy"
+        assert [row.split("\t")[0] for row in rows] == ["0", "1", "2"]
+
+    def test_every_stage_has_one_subcommand(self):
+        assert sorted(stage for stage, _ in _STAGE_COMMANDS.values()) == sorted(pipeline.STAGES)
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[run]\nbogus = 1\n", encoding="utf-8")
@@ -256,6 +328,28 @@ class TestCliCommands:
         text = cfg_path.read_text(encoding="utf-8")
         cfg_path.write_text(text.replace("[single_gan]\n", "[single_gan]\ndis_leaky_slope = 1.5\n"),
                             encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("data", "max_vocab", "0"),
+        ("data", "normalize_iterations", "0"),
+        ("clustering", "align_csls_k", "0"),
+        ("clustering", "min_cluster_size", "-1"),
+        ("clustering", "level", "lats"),
+        ("clustering", "level", "-1"),
+        ("evaluation", "csls_k", "0"),
+        ("evaluation", "vocab_limit", "0"),
+        ("evaluation", "kmeans_k", "-1"),
+        # stage seeds derive from [run] seed alone
+        ("single_gan", "seed", "123"),
+        ("multi_gan", "seed", "5"),
+        ("refinement", "seed", "77"),
+    ])
+    def test_bad_value_exits_at_config_load(self, tmp_path, synth_dir, section, key,
+                                            value):
+        cfg_path = set_value(write_config(tmp_path, synth_dir), section, key, value)
         out = tmp_path / "x"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not (out / "manifest.json").exists()
