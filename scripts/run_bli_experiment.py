@@ -2,11 +2,13 @@
 """Full-scale bilingual lexicon induction driver for pretrained
 embeddings in word2vec text format.
 
-Writes a config with the full-scale defaults (200k vocabulary, 2048
-hidden units, 75k-word discriminator sampling pool, ten restarts,
-dynamic subspace weighting) and runs the whole pipeline.  Expect hours
-of CPU time on 300-dimensional embeddings; this is an experiment
-driver, not part of the test suite.
+Writes a config with the keys its flags set (data paths, seed, refine
+mode, restarts, epochs and steps) and runs the whole pipeline.  Every
+other value is the default in `submap.config`, which is full scale:
+200k vocabulary, 2048 hidden units, a 75k-word discriminator sampling
+pool and dynamic subspace weighting.  Expect hours of CPU time on
+300-dimensional embeddings; this is an experiment driver, not part of
+the test suite.
 """
 
 import argparse
@@ -28,43 +30,10 @@ single_restarts = {restarts}
 source = {source}
 target = {target}
 gold = {gold}
-max_vocab = 200000
-normalize_iterations = 5
 
 [single_gan]
 epochs = {epochs}
 steps_per_epoch = {steps}
-batch_size = 32
-lr_generator = 0.1
-lr_discriminator = 0.1
-lr_decay = 0.98
-beta = 0.001
-smoothing = 0.1
-dis_freq_vocab = 75000
-dis_hidden = 2048
-dis_dropout = 0.1
-dis_steps_per_gen_step = 1
-criterion_vocab = 10000
-csls_k = 10
-
-[clustering]
-level = last
-
-[multi]
-lambda_mode = dynamic
-
-[refinement]
-p0 = 0.1
-multiplier = 2.0
-threshold = 1e-6
-max_iters = 50
-vocab_limit = 10000
-csls_k = 10
-
-[evaluation]
-csls_k = 10
-per_subspace = true
-vocab_limit = 50000
 """
 
 

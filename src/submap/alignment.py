@@ -15,7 +15,7 @@ import numpy as np
 from .clustering import Partition, merge_clusters
 from .embeddings import EmbeddingSpace
 from .errors import EmptyTargetSubspaceError, ParseError
-from .mapping import LinearMap, backward_fn
+from .mapping import LinearMap
 from .retrieval import _translate
 
 
@@ -55,8 +55,8 @@ def partition_target(single_map: LinearMap, source_partition: Partition,
     Raises EmptyTargetSubspaceError when some cluster receives no target
     words; callers either merge those clusters away or abort.
     """
-    _, translations = _translate(backward_fn(single_map), target, np.arange(target.n),
-                                 source, k)
+    _, translations = _translate(single_map.apply_target_back, target,
+                                 np.arange(target.n), source, k)
     assignments = source_partition.assignments[translations]
     empty = np.setdiff1d(np.arange(source_partition.c), np.unique(assignments))
     if empty.size:

@@ -242,10 +242,12 @@ def load_assignments(path, words) -> np.ndarray:
             line = line.rstrip("\n")
             if not line:
                 continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(f"{path} line {lineno}: expected 'token<TAB>cluster_id'")
-            by_word[fields[0]] = int(fields[1])
+            try:
+                token, cluster_id = line.split("\t")
+                by_word[token] = int(cluster_id)
+            except ValueError:  # not two fields, or a non-integer id
+                raise ParseError(
+                    f"{path} line {lineno}: expected 'token<TAB>cluster_id'") from None
     try:
         return np.array([by_word[w] for w in words], dtype=np.int64)
     except KeyError as e:

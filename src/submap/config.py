@@ -97,9 +97,9 @@ def _coerce(value: str, to_type):
         raise ConfigError(f"expected {to_type.__name__}, got {value!r}") from None
 
 
-def _parse_section(parser: configparser.ConfigParser, section: str, types: dict) -> dict:
+def _parse_section(sections: dict, section: str, types: dict) -> dict:
     updates = {}
-    for key, raw in parser.items(section):
+    for key, raw in sections[section]:
         if key not in types:
             raise ConfigError(f"[{section}] has unknown key {key!r}")
         updates[key] = _coerce(raw, types[key])
@@ -108,23 +108,28 @@ def _parse_section(parser: configparser.ConfigParser, section: str, types: dict)
 
 def load_config(path) -> PipelineConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+        # items() interpolates, so a bare % raises here rather than at read
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except configparser.Error as e:
+        raise ConfigError(f"config file {path}: {e}") from None
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
-    for section in parser.sections():
+    for section in sections:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
     cfg = PipelineConfig()
     for section, name in _SECTIONS.items():
-        if not parser.has_section(section):
+        if section not in sections:
             continue
         if name is None:
-            cfg = replace(cfg, **_parse_section(parser, section, _RUN_KEYS))
+            cfg = replace(cfg, **_parse_section(sections, section, _RUN_KEYS))
             continue
         base = cfg.multi_gan if section == "multi_gan" else getattr(cfg, name)
         # stage seeds derive from [run] seed alone, so no section sets one
         types = {f.name: type(getattr(base, f.name)) for f in fields(base) if f.name != "seed"}
-        cfg = replace(cfg, **{name: replace(base, **_parse_section(parser, section, types))})
+        cfg = replace(cfg, **{name: replace(base, **_parse_section(sections, section, types))})
     validate_config(cfg)
     return cfg
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace
 from .errors import ConfigError, NumericError, TrainingFailedError
-from .mapping import LinearMap, forward_fn, identity_map
+from .mapping import LinearMap, identity_map
 from .numerics import (MlpDiscriminator, bce_input_gradient, bce_loss_from_logits,
                        init_discriminator, _dropout_mask, _forward, _param_grads,
                        _sgd_update)
@@ -74,8 +74,7 @@ def orthogonalize(m: LinearMap, beta: float = 0.001) -> LinearMap:
     every singular value toward 1 at rate about (1 - 2 beta) per step.
     """
     w = m.w
-    return LinearMap((1.0 + beta) * w - beta * (w @ w.T) @ w,
-                     orthogonal_hint=m.orthogonal_hint)
+    return LinearMap((1.0 + beta) * w - beta * (w @ w.T) @ w)
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ def generator_step(m: LinearMap, games: tuple[Game, ...], cfg: GanConfig,
 
 def _criterion(m: LinearMap, source: EmbeddingSpace, target: EmbeddingSpace,
                cfg: GanConfig) -> float:
-    return selection_criterion(forward_fn(m), source, target,
+    return selection_criterion(m.apply_source, source, target,
                                vocab_limit=cfg.criterion_vocab, k=cfg.csls_k)
 
 

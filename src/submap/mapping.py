@@ -3,7 +3,8 @@
 A LinearMap holds a d x d matrix W applied to row vectors as v -> W v
 (rows(X) -> X @ W.T).  A PiecewiseMap owns one LinearMap per source
 subspace plus the subspace pairing that says which map applies to which
-word on either side.
+word on either side.  Both map (rows, vocabulary indices) forward with
+`apply_source` and back by the transposes with `apply_target_back`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ MapFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 @dataclass(frozen=True)
 class LinearMap:
     w: np.ndarray
-    orthogonal_hint: bool = False
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.w, dtype=np.float64)
@@ -41,15 +41,19 @@ class LinearMap:
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         return np.asarray(vectors) @ self.w.T
 
-    def transposed(self) -> "LinearMap":
-        return LinearMap(self.w.T, self.orthogonal_hint)
+    def apply_source(self, vectors: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        return self.apply(vectors)
+
+    def apply_target_back(self, vectors: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        # a contiguous copy of W^T: `vectors @ self.w` rounds differently
+        return LinearMap(self.w.T).apply(vectors)
 
     def orthogonality_defect(self) -> float:
         return float(np.linalg.norm(self.w.T @ self.w - np.eye(self.dim)))
 
 
 def identity_map(dim: int) -> LinearMap:
-    return LinearMap(np.eye(dim), orthogonal_hint=True)
+    return LinearMap(np.eye(dim))
 
 
 @dataclass(frozen=True)
@@ -102,25 +106,6 @@ class PiecewiseMap:
         return PiecewiseMap(self.pairing, composed, self.lambdas)
 
 
-def forward_fn(m: LinearMap | PiecewiseMap) -> MapFn:
-    """(vectors, indices) -> vectors mapped into the target space."""
-    if isinstance(m, LinearMap):
-        return lambda vectors, indices: m.apply(vectors)
-    return m.apply_source
-
-
-def backward_fn(m: LinearMap | PiecewiseMap) -> MapFn:
-    """(vectors, indices) -> target vectors mapped back into the source space.
-
-    Near-orthogonal maps invert by transposition, so the backward
-    direction reuses the forward matrices transposed.
-    """
-    if isinstance(m, LinearMap):
-        t = m.transposed()
-        return lambda vectors, indices: t.apply(vectors)
-    return m.apply_target_back
-
-
 def save_matrix(path, m: np.ndarray, header: str | None = None) -> None:
     """Write a header line ("<rows> <cols>" unless given), then one line of
     full-precision floats per row.
@@ -168,5 +153,5 @@ def save_linear_map(path, m: LinearMap) -> None:
     save_matrix(path, m.w, str(m.dim))
 
 
-def load_linear_map(path, orthogonal_hint: bool = False) -> LinearMap:
-    return LinearMap(load_matrix(path), orthogonal_hint=orthogonal_hint)
+def load_linear_map(path) -> LinearMap:
+    return LinearMap(load_matrix(path))

@@ -31,8 +31,8 @@ from .errors import ConfigError, EmptyDictionaryError
 from .evaluation import (evaluate_bli, format_report, per_subspace_accuracy,
                          per_subspace_table, report_to_json)
 from .gan import random_restart_train
-from .mapping import (LinearMap, PiecewiseMap, backward_fn, forward_fn, load_linear_map,
-                      load_matrix, save_linear_map, save_matrix)
+from .mapping import (LinearMap, PiecewiseMap, load_linear_map, load_matrix,
+                      save_linear_map, save_matrix)
 from .multigan import train_multi_gan
 from .refinement import global_refine, local_refine, refine_linear
 from .retrieval import (gold_multimap, induce_seed_dictionary, load_dictionary_tokens,
@@ -134,21 +134,24 @@ def _save_mapset(run: RunDir, subdir: str, kind: str, maps: list[LinearMap],
     return artifacts
 
 
-def _load_mapset(run: RunDir, subdir: str):
+def _load_mapset(run: RunDir, subdir: str, source: EmbeddingSpace,
+                 target: EmbeddingSpace) -> LinearMap | PiecewiseMap:
+    """The map `_save_mapset` wrote: a LinearMap for kind "single", else a
+    PiecewiseMap over the run's subspace pairing."""
     meta = json.loads(run.path(f"{subdir}/meta.json").read_text(encoding="utf-8"))
     maps = [load_linear_map(run.path(f"{subdir}/map_{i:03d}.txt"))
             for i in range(meta["count"])]
-    return meta, maps
+    if meta["kind"] == "single":
+        return maps[0]
+    return PiecewiseMap(_load_pairing(run, source, target), tuple(maps), tuple(meta["lambdas"]))
 
 
 def load_final_mapping(run: RunDir, source: EmbeddingSpace, target: EmbeddingSpace):
-    """The mapping produced by the refine stage, as forward/backward fns."""
-    meta, maps = _load_mapset(run, "final")
-    if meta["kind"] == "single":
-        return forward_fn(maps[0]), backward_fn(maps[0]), None
-    pairing = _load_pairing(run, source, target)
-    pm = PiecewiseMap(pairing, tuple(maps), tuple(meta["lambdas"]))
-    return forward_fn(pm), backward_fn(pm), pm
+    """The refine stage's map m, as (m.apply_source, m.apply_target_back, m):
+    the forward and backward calls retrieval takes, then the map itself,
+    a LinearMap or a PiecewiseMap."""
+    m = _load_mapset(run, "final", source, target)
+    return m.apply_source, m.apply_target_back, m
 
 
 def stage_normalize(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
@@ -176,7 +179,6 @@ def stage_single_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     save_linear_map(run.path("single_map.txt"), best)
     return {"artifacts": ["single_map.txt"],
             "metrics": {"criterion": criterion,
-                        "orthogonal_hint": best.orthogonal_hint,
                         "orthogonality_defect": best.orthogonality_defect(),
                         "restarts": cfg.single_restarts}}
 
@@ -243,9 +245,7 @@ def stage_refine(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
         kind, maps = "single", [refined]
         meta = {"objective": log[-1].objective if log else None}
     else:
-        multi_meta, multi_maps = _load_mapset(run, "multi")
-        pairing = _load_pairing(run, source, target)
-        pm = PiecewiseMap(pairing, tuple(multi_maps), tuple(multi_meta["lambdas"]))
+        pm = _load_mapset(run, "multi", source, target)
         if cfg.refine_mode == "global":
             pm, log = global_refine(pm, source, target, refine_cfg)
             logs["refine_log.tsv"] = log
@@ -278,7 +278,7 @@ def stage_eval(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     if not cfg.data.gold:
         raise ConfigError("eval stage needs data.gold")
     source, target = _load_normalized(run, cfg)
-    fwd, _, pm = load_final_mapping(run, source, target)
+    fwd, _, _ = load_final_mapping(run, source, target)
     gold = gold_multimap(load_dictionary_tokens(cfg.data.gold))
     artifacts = []
     partition = None

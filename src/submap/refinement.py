@@ -1,10 +1,13 @@
 """Procrustes refinement driven by stochastic dictionary induction.
 
-Each round induces a bidirectional seed dictionary (randomly dropping
+`refine_linear` refines one map W, as MUSE does: each round induces a
+bidirectional seed dictionary with the current map (randomly dropping
 similarity scores to escape local optima), solves the orthogonal
-Procrustes problem on it, and keeps the best mapping by mean pair
-cosine.  The keep probability starts low and doubles whenever the
-objective stalls, ending with a deterministic pass.
+Procrustes problem on it, and keeps the best map by mean pair cosine.
+The keep probability starts low and doubles whenever the objective
+stalls, ending with a deterministic pass.  `global_refine` runs it from
+the identity on the piecewise-mapped source space and composes the
+result onto every subspace map; `local_refine` runs it per subspace.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace, unit_rows
 from .errors import ConfigError, EmptyDictionaryError
-from .mapping import LinearMap, PiecewiseMap, backward_fn, forward_fn
+from .mapping import LinearMap, PiecewiseMap, identity_map
 from .retrieval import SeedDictionary, induce_seed_dictionary
 
 
@@ -49,7 +52,7 @@ def procrustes(dictionary: SeedDictionary, source, target) -> LinearMap:
     x = src[dictionary.pairs[:, 0]]
     y = tgt[dictionary.pairs[:, 1]]
     u, _, vt = np.linalg.svd(y.T @ x)
-    return LinearMap(u @ vt, orthogonal_hint=True)
+    return LinearMap(u @ vt)
 
 
 @dataclass(frozen=True)
@@ -66,27 +69,28 @@ def _pair_objective(m: LinearMap, src_vectors, tgt_vectors,
     return float(np.sum(mapped * tgt_vectors[dictionary.pairs[:, 1]], axis=1).mean())
 
 
-def stochastic_refine(initial_fwd, initial_bwd, source: EmbeddingSpace,
-                      target: EmbeddingSpace, cfg: RefineConfig
-                      ) -> tuple[LinearMap, list[RefineStep]]:
-    """Iterated induce-and-Procrustes from an initial mapping pair.
+def refine_linear(initial: LinearMap, source: EmbeddingSpace, target: EmbeddingSpace,
+                  cfg: RefineConfig) -> tuple[LinearMap, list[RefineStep]]:
+    """Iterated induce-and-Procrustes from an initial map.
 
     Returns the best-objective map and the step log.  The first
-    induction uses the provided mapping functions; later rounds propose
-    from the best Procrustes solution so far (an orthogonal map,
-    inverted by its transpose for the backward direction).
+    induction uses `initial`; later rounds propose from the best
+    Procrustes solution so far, once there is one.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    fwd, bwd = initial_fwd, initial_bwd
     keep_prob = cfg.p0
     best_map: LinearMap | None = None
     best_objective = -np.inf
     fallback: tuple[float, LinearMap] | None = None
     log: list[RefineStep] = []
     for iteration in range(1, cfg.max_iters + 1):
+        # propose from the best map found so far; a chain through an
+        # unlucky stochastic draw would walk away from solutions it had
+        proposer = initial if best_map is None else best_map
         try:
-            dictionary = induce_seed_dictionary(fwd, bwd, source, target,
+            dictionary = induce_seed_dictionary(proposer.apply_source,
+                                                proposer.apply_target_back, source, target,
                                                 vocab_limit=cfg.vocab_limit,
                                                 k=cfg.csls_k, keep_prob=keep_prob,
                                                 rng=rng)
@@ -111,22 +115,10 @@ def stochastic_refine(initial_fwd, initial_bwd, source: EmbeddingSpace,
             if keep_prob >= 1.0:
                 break
             keep_prob = min(1.0, keep_prob * cfg.multiplier)
-        # propose the next dictionary from the best map found so far; a
-        # chain through an unlucky stochastic draw would walk away from
-        # solutions it already had
-        if best_map is not None:
-            fwd, bwd = forward_fn(best_map), backward_fn(best_map)
     if best_map is None:
         assert fallback is not None
         best_map = fallback[1]
     return best_map, log
-
-
-def refine_linear(initial: LinearMap, source: EmbeddingSpace, target: EmbeddingSpace,
-                  cfg: RefineConfig) -> tuple[LinearMap, list[RefineStep]]:
-    """Stochastic refinement of a single linear map."""
-    return stochastic_refine(forward_fn(initial), backward_fn(initial),
-                             source, target, cfg)
 
 
 def global_refine(pm: PiecewiseMap, source: EmbeddingSpace, target: EmbeddingSpace,
@@ -136,9 +128,7 @@ def global_refine(pm: PiecewiseMap, source: EmbeddingSpace, target: EmbeddingSpa
     (the combination stays piecewise linear)."""
     transformed = EmbeddingSpace(source.words,
                                  unit_rows(pm.transformed_source(source.vectors)))
-    identity = LinearMap(np.eye(source.dim), orthogonal_hint=True)
-    w_g, log = stochastic_refine(forward_fn(identity), backward_fn(identity),
-                                 transformed, target, cfg)
+    w_g, log = refine_linear(identity_map(source.dim), transformed, target, cfg)
     return pm.compose_global(w_g), log
 
 

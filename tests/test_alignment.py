@@ -29,7 +29,7 @@ def test_exact_rotation_reproduces_partition(small_space):
     q = random_orthogonal(small_space.dim, 21)
     target = EmbeddingSpace(small_space.words, small_space.vectors @ q.T)
     part = arbitrary_partition(small_space.vectors)
-    pairing = partition_target(LinearMap(q, orthogonal_hint=True), part,
+    pairing = partition_target(LinearMap(q), part,
                                small_space, target, k=3)
     assert np.array_equal(pairing.target_assignments, part.assignments)
 
@@ -40,7 +40,7 @@ def test_k_clamped_to_target_size(small_space):
     target = EmbeddingSpace(("t0", "t1", "t2", "t3"),
                             unit_rows(small_space.vectors[[3, 8, 1, 14]] @ q.T))
     part = arbitrary_partition(small_space.vectors, pieces=2)
-    pairing = partition_target(LinearMap(q, orthogonal_hint=True), part,
+    pairing = partition_target(LinearMap(q), part,
                                small_space, target, k=10)
     back = brute_force_csls(unit_rows(target.vectors @ q), small_space.vectors, 4)
     assert np.array_equal(pairing.target_assignments, part.assignments[back])
@@ -61,7 +61,7 @@ def test_noisy_two_cluster_instance_mostly_agrees():
     target = EmbeddingSpace(source.words,
                             unit_rows(points @ q.T + 0.02 * g.normal(size=(200, 8))))
     part = Partition(labels, cluster_centroids(points, labels))
-    pairing = partition_target(LinearMap(q, orthogonal_hint=True), part,
+    pairing = partition_target(LinearMap(q), part,
                                source, target, k=10)
     agree = (pairing.target_assignments == labels).mean()
     assert agree >= 0.90

@@ -354,6 +354,22 @@ class TestCliCommands:
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("old,new", [
+        ("single_restarts = 1\n", "single_restarts = 1\nsingle_restarts = 2\n"),
+        ("[evaluation]\n", "[run]\nseed = 3\n\n[evaluation]\n"),
+        ("[run]\n", ""),
+        ("beta = 0.5\n", "beta = 0.5%\n"),  # raised by interpolation, not at read
+    ], ids=["option-twice", "section-twice", "no-section-header", "bare-percent"])
+    def test_syntax_error_exits_at_config_load(self, tmp_path, synth_dir, capsys, old, new):
+        cfg_path = write_config(tmp_path, synth_dir)
+        text = cfg_path.read_text(encoding="utf-8")
+        assert old in text
+        cfg_path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_typed_failure_exit_code(self, tmp_path, synth_dir):
         cfg_path = write_config(tmp_path, synth_dir)
         # break the source path: load fails with a ParseError subclass

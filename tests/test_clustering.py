@@ -11,7 +11,7 @@ from submap.clustering import (ClusterHierarchy, Partition, finch_hierarchy,
                                load_assignments, merge_small_clusters, save_assignments,
                                select_level)
 from submap.embeddings import unit_rows
-from submap.errors import ConfigError, TooFewSamplesError
+from submap.errors import ConfigError, ParseError, TooFewSamplesError
 
 from conftest import make_space
 
@@ -307,3 +307,10 @@ def test_partition_round_trip(tmp_path, rng):
     save_assignments(tmp_path / "p.tsv", words, part.assignments)
     back = load_assignments(tmp_path / "p.tsv", words)
     assert np.array_equal(back, part.assignments)
+
+
+def test_non_integer_cluster_id_names_file_and_line(tmp_path):
+    path = tmp_path / "p.tsv"
+    path.write_text("w0\t0\nw1\tx\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"p\.tsv line 2"):
+        load_assignments(path, ("w0", "w1"))

@@ -10,7 +10,7 @@ from submap.embeddings import EmbeddingSpace, unit_rows
 from submap.errors import EmptyEvaluationError
 from submap.evaluation import (evaluate_bli, format_report, per_subspace_accuracy,
                                per_subspace_table, report_to_json)
-from submap.mapping import LinearMap, forward_fn, identity_map
+from submap.mapping import LinearMap, identity_map
 from submap.retrieval import gold_multimap
 from submap.synthetic import generate_instance
 
@@ -33,7 +33,7 @@ def piecewise_forward(inst):
 
 class TestEvaluateBli:
     def test_identity_everything(self, small_space):
-        report = evaluate_bli(forward_fn(identity_map(small_space.dim)),
+        report = evaluate_bli(identity_map(small_space.dim).apply_source,
                               identity_gold(small_space), small_space, small_space, k=5)
         assert report.p_at_1 == 1.0
         assert report.evaluated == small_space.n
@@ -43,7 +43,7 @@ class TestEvaluateBli:
         # two translations per source; the map hits the second one
         gold = {w: {w, small_space.words[(i + 1) % small_space.n]}
                 for i, w in enumerate(small_space.words)}
-        report = evaluate_bli(forward_fn(identity_map(small_space.dim)), gold,
+        report = evaluate_bli(identity_map(small_space.dim).apply_source, gold,
                               small_space, small_space, k=5)
         assert report.p_at_1 == 1.0
 
@@ -58,7 +58,7 @@ class TestEvaluateBli:
         gold = identity_gold(small_space)
         gold["missing-word"] = {"w0"}
         gold["w0"] = {"not-in-target"}
-        report = evaluate_bli(forward_fn(identity_map(small_space.dim)), gold,
+        report = evaluate_bli(identity_map(small_space.dim).apply_source, gold,
                               small_space, small_space, k=5)
         assert report.skipped_oov == 2
         assert report.evaluated == small_space.n - 1
@@ -67,10 +67,10 @@ class TestEvaluateBli:
 
     def test_empty_gold(self, small_space):
         with pytest.raises(EmptyEvaluationError):
-            evaluate_bli(forward_fn(identity_map(small_space.dim)), {},
+            evaluate_bli(identity_map(small_space.dim).apply_source, {},
                          small_space, small_space)
         with pytest.raises(EmptyEvaluationError):
-            evaluate_bli(forward_fn(identity_map(small_space.dim)),
+            evaluate_bli(identity_map(small_space.dim).apply_source,
                          {"nope": {"nada"}}, small_space, small_space)
 
     @settings(max_examples=10, deadline=None)
@@ -79,10 +79,10 @@ class TestEvaluateBli:
         g = np.random.default_rng(seed)
         space = make_space(25, 4, seed=17)
         items = [(w, {space.words[int(g.integers(25))]}) for w in space.words]
-        report_a = evaluate_bli(forward_fn(identity_map(4)), dict(items),
+        report_a = evaluate_bli(identity_map(4).apply_source, dict(items),
                                 space, space, k=5)
         perm = [items[i] for i in g.permutation(25)]
-        report_b = evaluate_bli(forward_fn(identity_map(4)), dict(perm),
+        report_b = evaluate_bli(identity_map(4).apply_source, dict(perm),
                                 space, space, k=5)
         assert report_a.p_at_1 == report_b.p_at_1
 
@@ -96,7 +96,7 @@ class TestPerSubspaceAccuracy:
 
     def test_uniform_map_gives_uniform_accuracy(self):
         space, part = self.uniform_setup()
-        report = per_subspace_accuracy(forward_fn(identity_map(space.dim)), part,
+        report = per_subspace_accuracy(identity_map(space.dim).apply_source, part,
                                        identity_gold(space), space, space,
                                        vocab_limit=50000, k=5)
         accs = [r.accuracy for r in report.per_subspace]
@@ -109,9 +109,9 @@ class TestPerSubspaceAccuracy:
         inst = generate_instance(3, 80, 8, 5.0, 0.0, seed=5)
         part = Partition(inst.labels,
                          cluster_centroids(inst.source.vectors, inst.labels))
-        single = LinearMap(inst.true_maps[0], orthogonal_hint=True)
+        single = LinearMap(inst.true_maps[0])
         gold = gold_multimap(list(inst.gold))
-        report = per_subspace_accuracy(forward_fn(single), part, gold,
+        report = per_subspace_accuracy(single.apply_source, part, gold,
                                        inst.source, inst.target,
                                        vocab_limit=50000, k=10)
         accs = [r.accuracy for r in report.per_subspace]
@@ -134,7 +134,7 @@ class TestPerSubspaceAccuracy:
         part = Partition(inst.labels,
                          cluster_centroids(inst.source.vectors, inst.labels))
         gold = gold_multimap(list(inst.gold))
-        report = per_subspace_accuracy(forward_fn(identity_map(6)), part, gold,
+        report = per_subspace_accuracy(identity_map(6).apply_source, part, gold,
                                        inst.source, inst.target,
                                        vocab_limit=50000, k=10)
         weighted = sum(r.evaluated * r.accuracy for r in report.per_subspace
@@ -143,7 +143,7 @@ class TestPerSubspaceAccuracy:
 
     def test_vocab_limit_restricts_queries(self):
         space, part = self.uniform_setup()
-        report = per_subspace_accuracy(forward_fn(identity_map(space.dim)), part,
+        report = per_subspace_accuracy(identity_map(space.dim).apply_source, part,
                                        identity_gold(space), space, space,
                                        vocab_limit=10, k=5)
         assert report.evaluated == 10
@@ -152,7 +152,7 @@ class TestPerSubspaceAccuracy:
     def test_empty_group_gets_null_accuracy(self):
         space, part = self.uniform_setup(pieces=2)
         gold = {w: {w} for i, w in enumerate(space.words) if part.assignments[i] == 0}
-        report = per_subspace_accuracy(forward_fn(identity_map(space.dim)), part,
+        report = per_subspace_accuracy(identity_map(space.dim).apply_source, part,
                                        gold, space, space, vocab_limit=50000, k=5)
         by_id = {r.cluster_id: r for r in report.per_subspace}
         assert by_id[1].accuracy is None and by_id[1].evaluated == 0
@@ -169,7 +169,7 @@ def test_both_scorers_clamp_k_to_evaluable_queries():
     retrieved = brute_force_csls(unit_rows(space.vectors[:4] @ w.T), space.vectors, 4)
     hits = [space.words[r] in gold[space.words[i]] for i, r in enumerate(retrieved)]
     assert 0 < sum(hits) < 4
-    fwd = forward_fn(LinearMap(w))
+    fwd = LinearMap(w).apply_source
     report = evaluate_bli(fwd, gold, space, space, k=10)
     assert (report.evaluated, report.p_at_1) == (4, sum(hits) / 4)
     assignments = np.arange(space.n) % 2
@@ -186,7 +186,7 @@ class TestReportFormats:
         assignments = np.zeros(small_space.n, dtype=int)
         part = Partition(assignments,
                          cluster_centroids(small_space.vectors, assignments))
-        report = per_subspace_accuracy(forward_fn(identity_map(small_space.dim)),
+        report = per_subspace_accuracy(identity_map(small_space.dim).apply_source,
                                        part, identity_gold(small_space),
                                        small_space, small_space,
                                        vocab_limit=50000, k=5)

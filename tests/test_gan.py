@@ -8,7 +8,7 @@ from submap.errors import ConfigError, NumericError, TrainingFailedError
 from submap.gan import (Game, GanConfig, discriminator_step, generator_loss_and_grad,
                         generator_step, orthogonalize, random_restart_train,
                         train_single_gan)
-from submap.mapping import LinearMap, forward_fn, identity_map
+from submap.mapping import LinearMap, identity_map
 from submap.numerics import MlpDiscriminator, init_discriminator, mlp_sgd_step
 from submap.retrieval import selection_criterion
 from submap.synthetic import random_orthogonal
@@ -247,7 +247,7 @@ class TestTrainSingleGan:
         cfg = replace(SMALL, epochs=0, criterion_vocab=small_space.n)
         best, crit = train_single_gan(small_space, small_space, cfg)
         assert np.array_equal(best.w, np.eye(small_space.dim))
-        expected = selection_criterion(forward_fn(best), small_space, small_space,
+        expected = selection_criterion(best.apply_source, small_space, small_space,
                                        vocab_limit=cfg.criterion_vocab, k=cfg.csls_k)
         assert crit == expected
 
@@ -258,7 +258,7 @@ class TestTrainSingleGan:
         cfg = replace(SMALL, epochs=5, steps_per_epoch=200, dis_hidden=32,
                       criterion_vocab=200, seed=2)
         best, crit = train_single_gan(space, target, cfg)
-        ident = selection_criterion(forward_fn(identity_map(6)), space, target,
+        ident = selection_criterion(identity_map(6).apply_source, space, target,
                                     vocab_limit=200, k=10)
         assert crit > ident
 

@@ -209,7 +209,7 @@ class TestTrainMultiGan:
         q = random_orthogonal(6, 11)
         target = EmbeddingSpace(inst.source.words,
                                 unit_rows(inst.source.vectors @ q.T))
-        single = LinearMap(q, orthogonal_hint=True)  # already aligned
+        single = LinearMap(q)  # already aligned
         pairing = tiny_pairing(inst.source, pieces=1)
         cfg = replace(SMALL, epochs=2, steps_per_epoch=50, criterion_vocab=120)
         pm, criteria = train_multi_gan(single, pairing, inst.source, target, cfg)
@@ -261,7 +261,7 @@ class TestTrainMultiGan:
             Partition(inst.labels, cluster_centroids(src.vectors, inst.labels)),
             inst.labels.copy())
         # a deliberately mediocre shared start: cluster 0's true rotation
-        single = LinearMap(inst.true_maps[0], orthogonal_hint=True)
+        single = LinearMap(inst.true_maps[0])
 
         def subspace_criterion(m, cid):
             rows = pairing.source_members(cid)

@@ -6,9 +6,9 @@ from submap.alignment import SubspacePairing
 from submap.clustering import Partition, cluster_centroids
 from submap.embeddings import EmbeddingSpace, unit_rows
 from submap.errors import EmptyDictionaryError
-from submap.mapping import LinearMap, PiecewiseMap, forward_fn, identity_map
+from submap.mapping import LinearMap, PiecewiseMap, identity_map
 from submap.refinement import (RefineConfig, global_refine, local_refine, procrustes,
-                               refine_linear, stochastic_refine)
+                               refine_linear)
 from submap.retrieval import SeedDictionary
 from submap.synthetic import generate_instance, random_orthogonal
 
@@ -165,7 +165,7 @@ class TestGlobalRefine:
         q = random_orthogonal(6, 14)
         target = EmbeddingSpace(inst.source.words,
                                 unit_rows(inst.source.vectors @ q.T))
-        start = LinearMap(in_plane_rotation(q, 0.2, 6, seed=3), orthogonal_hint=True)
+        start = LinearMap(in_plane_rotation(q, 0.2, 6, seed=3))
         cfg = replace(CFG, p0=1.0, vocab_limit=120)
         pm = one_piece_map(start, inst.source)
         via_global, _ = global_refine(pm, inst.source, target, cfg)
@@ -177,7 +177,7 @@ class TestGlobalRefine:
         pairing = SubspacePairing(
             Partition(inst.labels, cluster_centroids(inst.source.vectors, inst.labels)),
             inst.labels.copy())
-        maps = tuple(LinearMap(q, orthogonal_hint=True) for q in inst.true_maps)
+        maps = tuple(LinearMap(q) for q in inst.true_maps)
         pm = PiecewiseMap(pairing, maps, (0.5, 0.5))
         refined, _ = global_refine(pm, inst.source, inst.target,
                                    replace(CFG, vocab_limit=120))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from submap import retrieval
 from submap.embeddings import EmbeddingSpace, unit_rows
 from submap.errors import ConfigError, EmptyDictionaryError, ParseError
-from submap.mapping import LinearMap, backward_fn, forward_fn, identity_map
+from submap.mapping import LinearMap, identity_map
 from submap.retrieval import (SeedDictionary, csls_translate, gold_multimap,
                               induce_seed_dictionary, load_dictionary_tokens,
                               save_dictionary, selection_criterion)
@@ -190,7 +190,7 @@ def test_float32_kernel_matches_float64_oracle(n_q, n_t, d, rows):
 
 class TestSelectionCriterion:
     def test_identity_map_identical_spaces(self, small_space):
-        crit = selection_criterion(forward_fn(identity_map(small_space.dim)),
+        crit = selection_criterion(identity_map(small_space.dim).apply_source,
                                    small_space, small_space,
                                    vocab_limit=small_space.n, k=5)
         assert abs(crit - 1.0) < 1e-9
@@ -200,31 +200,31 @@ class TestSelectionCriterion:
         neg = LinearMap(-np.eye(5))
         # vocab_limit 6 < k: k is clamped to the 6 queries
         for vocab_limit in (20, 6):
-            crit = selection_criterion(forward_fn(neg), space, space,
+            crit = selection_criterion(neg.apply_source, space, space,
                                        vocab_limit=vocab_limit, k=10)
             # oracle: dense recomputation on this fixed seed-10 space
             mapped = unit_rows(-space.vectors[:vocab_limit])
             idx = brute_force_csls(mapped, space.vectors, min(10, vocab_limit))
             expected = float(np.mean(np.sum(mapped * space.vectors[idx], axis=1)))
             assert abs(crit - expected) < 1e-12
-            assert crit < selection_criterion(forward_fn(identity_map(5)), space, space,
+            assert crit < selection_criterion(identity_map(5).apply_source, space, space,
                                               vocab_limit=vocab_limit, k=10)
 
     def test_vocab_limit_one(self, small_space):
-        crit = selection_criterion(forward_fn(identity_map(small_space.dim)),
+        crit = selection_criterion(identity_map(small_space.dim).apply_source,
                                    small_space, small_space, vocab_limit=1, k=1)
         assert abs(crit - 1.0) < 1e-9
 
     def test_rejects_nonpositive_vocab_limit(self, small_space):
         with pytest.raises(ConfigError):
-            selection_criterion(forward_fn(identity_map(small_space.dim)),
+            selection_criterion(identity_map(small_space.dim).apply_source,
                                 small_space, small_space, vocab_limit=0, k=1)
 
 
 class TestInduceSeedDictionary:
     def test_identity_maps_keep_every_pair(self, small_space):
         ident = identity_map(small_space.dim)
-        d = induce_seed_dictionary(forward_fn(ident), backward_fn(ident),
+        d = induce_seed_dictionary(ident.apply_source, ident.apply_target_back,
                                    small_space, small_space,
                                    vocab_limit=small_space.n, k=5)
         assert len(d) == small_space.n
@@ -250,7 +250,7 @@ class TestInduceSeedDictionary:
     def test_rejects_nonpositive_vocab_limit(self, small_space):
         ident = identity_map(small_space.dim)
         with pytest.raises(ConfigError):
-            induce_seed_dictionary(forward_fn(ident), backward_fn(ident),
+            induce_seed_dictionary(ident.apply_source, ident.apply_target_back,
                                    small_space, small_space, vocab_limit=0, k=1)
 
     def test_empty_dictionary_raises(self, small_space):
@@ -275,7 +275,7 @@ class TestInduceSeedDictionary:
                                 unit_rows(g.normal(size=(25, 4))))
         q = np.linalg.qr(g.normal(size=(4, 4)))[0]
         m = LinearMap(q)
-        pairs = induce_seed_dictionary(forward_fn(m), backward_fn(m), source, target,
+        pairs = induce_seed_dictionary(m.apply_source, m.apply_target_back, source, target,
                                        vocab_limit=30, k=5).pairs
         # independent re-check of the mutual translation property
         assert pairs.tolist() == brute_force_mutual_pairs(q, source, target, 5)
@@ -288,7 +288,7 @@ class TestInduceSeedDictionary:
         target = EmbeddingSpace(("t0", "t1", "t2", "t3"),
                                 unit_rows(source.vectors[:4] @ q.T))
         m = LinearMap(q)
-        pairs = induce_seed_dictionary(forward_fn(m), backward_fn(m), source, target,
+        pairs = induce_seed_dictionary(m.apply_source, m.apply_target_back, source, target,
                                        vocab_limit=30, k=10).pairs
         expected = brute_force_mutual_pairs(q, source, target, 10)
         assert expected and pairs.tolist() == expected
