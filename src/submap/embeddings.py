@@ -3,10 +3,16 @@
 The on-disk format is the word2vec text format: a header line
 "<count> <dim>" followed by one "<token> <f1> ... <fd>" line per word,
 single-space separated, UTF-8.  Vectors are held as float64 throughout.
+
+`load_embeddings` parses the vector bodies in C, with one `np.loadtxt`
+call that rounds as `float()` does.  A file the C parse cannot vouch
+for (a malformed line, or a float syntax only `float()` reads, such as
+"1_0") falls back to the per-line loop, which is the reference.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,29 +68,31 @@ class EmbeddingSpace:
         return word in self._index
 
 
-def load_embeddings(path, max_vocab: int) -> EmbeddingSpace:
-    """Read the first `max_vocab` distinct words of a word2vec text file.
+def _read_header(f) -> tuple[int, int]:
+    header = f.readline()
+    parts = header.split()
+    if len(parts) != 2:
+        raise ParseError(f"malformed header {header!r}: expected '<count> <dim>'")
+    try:
+        count, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"malformed header {header!r}: non-integer fields") from None
+    if count < 0 or dim < 2:
+        raise ParseError(f"malformed header {header!r}: need count >= 0, dim >= 2")
+    return count, dim
 
-    Duplicate tokens after their first occurrence are skipped and do not
-    count against `max_vocab`.  Reading stops after the header's declared
-    row count even if the file is longer.
+
+def _parse_per_line(path, max_vocab: int):
+    """The reference parse, one `float()` per value: (words, vectors or None).
+
+    It is the only path that raises a line-numbered ParseError and that
+    accepts the float syntaxes `loadtxt` rejects ("1_0", non-ASCII digits).
     """
-    if max_vocab < 1:
-        raise ParseError(f"max_vocab must be positive, got {max_vocab}")
     words: list[str] = []
     rows: list[np.ndarray] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as f:
-        header = f.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise ParseError(f"malformed header {header!r}: expected '<count> <dim>'")
-        try:
-            count, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed header {header!r}: non-integer fields") from None
-        if count < 0 or dim < 2:
-            raise ParseError(f"malformed header {header!r}: need count >= 0, dim >= 2")
+        count, dim = _read_header(f)
         for lineno, line in enumerate(f, start=2):
             if lineno - 1 > count:
                 break
@@ -108,9 +116,72 @@ def load_embeddings(path, max_vocab: int) -> EmbeddingSpace:
             rows.append(vec)
             if len(words) >= max_vocab:
                 break
-    if not rows:
+    return words, np.vstack(rows) if rows else None
+
+
+# ASCII separators that `loadtxt` strips around a number as whitespace and
+# `float()` rejects; every other field the two read alike (DECISIONS.md)
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_in_c(path, max_vocab: int):
+    """The same parse with every vector body in one `np.loadtxt` call:
+    (words, vectors or None), or None where it cannot vouch for giving
+    `_parse_per_line`'s answer.
+
+    Python keeps to what is not number parsing: the header's row count,
+    blank lines, duplicate tokens and the `max_vocab` cut.  Duplicate
+    rows are parsed too, so a malformed one still fails the file.
+    """
+    words: list[str] = []
+    bodies: list[str] = []
+    keep: list[int] = []  # index in `bodies` of each word's first occurrence
+    seen: set[str] = set()
+    with open(path, encoding="utf-8") as f:
+        count, dim = _read_header(f)
+        for line in itertools.islice(f, count):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            token, _, body = line.partition(" ")
+            if token not in seen:
+                seen.add(token)
+                words.append(token)
+                keep.append(len(bodies))
+            bodies.append(body)
+            if len(words) >= max_vocab:
+                break
+    if not bodies:
+        return words, None
+    if any(sep in body for body in bodies for sep in _SEPARATORS):
+        return None
+    try:
+        vectors = np.loadtxt(bodies, dtype=np.float64, delimiter=" ", comments=None,
+                             quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    # loadtxt skips an empty body (the line "a "), which would shift rows
+    if vectors.shape != (len(bodies), dim):
+        return None
+    return words, vectors if len(keep) == len(bodies) else vectors[keep]
+
+
+def load_embeddings(path, max_vocab: int) -> EmbeddingSpace:
+    """Read the first `max_vocab` distinct words of a word2vec text file.
+
+    Duplicate tokens after their first occurrence are skipped and do not
+    count against `max_vocab`.  Reading stops after the header's declared
+    row count even if the file is longer.  The numbers are parsed in C
+    (`_parse_in_c`); a file that parse does not vouch for is read again
+    by the per-line reference loop, which gives `float()`'s value for
+    every field or a ParseError naming the line.
+    """
+    if max_vocab < 1:
+        raise ParseError(f"max_vocab must be positive, got {max_vocab}")
+    words, vectors = _parse_in_c(path, max_vocab) or _parse_per_line(path, max_vocab)
+    if not words:
         raise EmptySpaceError(f"{path}: no usable rows")
-    return EmbeddingSpace(tuple(words), np.vstack(rows))
+    return EmbeddingSpace(tuple(words), vectors)
 
 
 def save_embeddings(path, space: EmbeddingSpace) -> None:

@@ -7,11 +7,14 @@ identical artifacts.  Stage seeds derive from the master seed and the
 stage name; timings live in their own manifest key and are the only
 nondeterministic field.
 
-Each normalized space is parsed once per process: the RunDir keeps the
-parsed `*.norm.vec` files and parses one again only when its
-modification time or size changed.  The kept space is exactly what the
-text parses to, and spaces are immutable, so a stage sees the same
-inputs whether it runs inside `pipeline` or as its own subcommand.
+Each normalized space and each map is parsed at most once per process:
+the RunDir keeps what it parsed, stamped with the file's modification
+time and size, and parses a file again only when its stamp changed.  A
+map the process wrote itself is kept as written, stamped after the
+write, and never parsed: '%.17g' text reads back every bit.  The kept
+object is exactly what the text parses to, so a stage sees the same
+inputs whether it runs inside `pipeline` or as its own subcommand,
+which parses from disk.
 """
 
 from __future__ import annotations
@@ -39,27 +42,45 @@ from .retrieval import (gold_multimap, induce_seed_dictionary, load_dictionary_t
                         save_dictionary)
 
 class RunDir:
-    """Artifact paths and the manifest for one run directory."""
+    """Artifact paths, the manifest, and the spaces and maps kept parsed,
+    for one run directory."""
 
     def __init__(self, out: str | Path):
         self.root = Path(out)
         self.root.mkdir(parents=True, exist_ok=True)
-        # (name, max_vocab) -> ((st_mtime_ns, st_size) when parsed, space)
-        self._spaces: dict[tuple[str, int], tuple[tuple[int, int], EmbeddingSpace]] = {}
+        # key -> ((st_mtime_ns, st_size) of the file it was read from, object)
+        self._kept: dict[tuple, tuple[tuple[int, int], object]] = {}
 
     def path(self, name: str) -> Path:
         return self.root / name
 
-    def load_space(self, name: str, max_vocab: int) -> EmbeddingSpace:
-        """The embedding file `name` as load_embeddings parses it, parsed
-        again only when the file's modification time or size changed."""
-        path = self.path(name)
-        st = path.stat()  # before parsing, so a concurrent rewrite reads as a change
-        stamp = (st.st_mtime_ns, st.st_size)
-        kept = self._spaces.get((name, max_vocab))
+    def _stamp(self, name: str) -> tuple[int, int]:
+        st = self.path(name).stat()
+        return st.st_mtime_ns, st.st_size
+
+    def _parsed(self, name: str, key: tuple, parse):
+        """parse(path of `name`), parsed again only when the file's
+        modification time or size changed since it was kept under `key`."""
+        stamp = self._stamp(name)  # before parsing, so a concurrent rewrite reads as a change
+        kept = self._kept.get(key)
         if kept is None or kept[0] != stamp:
-            kept = self._spaces[(name, max_vocab)] = (stamp, load_embeddings(path, max_vocab))
+            kept = self._kept[key] = (stamp, parse(self.path(name)))
         return kept[1]
+
+    def load_space(self, name: str, max_vocab: int) -> EmbeddingSpace:
+        """The embedding file `name` as load_embeddings parses it."""
+        return self._parsed(name, (name, max_vocab),
+                            lambda path: load_embeddings(path, max_vocab))
+
+    def load_map(self, name: str) -> LinearMap:
+        """The map file `name` as load_linear_map parses it."""
+        return self._parsed(name, (name,), load_linear_map)
+
+    def save_map(self, name: str, m: LinearMap) -> None:
+        """Write `m` to `name` and keep it as what the file parses to:
+        '%.17g' reads back every float64 bit for bit."""
+        save_linear_map(self.path(name), m)
+        self._kept[(name,)] = (self._stamp(name), LinearMap(m.w.copy()))
 
     def manifest_path(self) -> Path:
         return self.root / "manifest.json"
@@ -124,7 +145,7 @@ def _save_mapset(run: RunDir, subdir: str, kind: str, maps: list[LinearMap],
     artifacts = []
     for i, m in enumerate(maps):
         name = f"{subdir}/map_{i:03d}.txt"
-        save_linear_map(run.path(name), m)
+        run.save_map(name, m)
         artifacts.append(name)
     doc = {"kind": kind, "count": len(maps), **meta}
     meta_name = f"{subdir}/meta.json"
@@ -139,8 +160,7 @@ def _load_mapset(run: RunDir, subdir: str, source: EmbeddingSpace,
     """The map `_save_mapset` wrote: a LinearMap for kind "single", else a
     PiecewiseMap over the run's subspace pairing."""
     meta = json.loads(run.path(f"{subdir}/meta.json").read_text(encoding="utf-8"))
-    maps = [load_linear_map(run.path(f"{subdir}/map_{i:03d}.txt"))
-            for i in range(meta["count"])]
+    maps = [run.load_map(f"{subdir}/map_{i:03d}.txt") for i in range(meta["count"])]
     if meta["kind"] == "single":
         return maps[0]
     return PiecewiseMap(_load_pairing(run, source, target), tuple(maps), tuple(meta["lambdas"]))
@@ -176,7 +196,7 @@ def stage_single_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     gan_cfg = replace(cfg.single_gan, seed=seed)
     best, criterion = random_restart_train(source, target, gan_cfg,
                                            restarts=cfg.single_restarts)
-    save_linear_map(run.path("single_map.txt"), best)
+    run.save_map("single_map.txt", best)
     return {"artifacts": ["single_map.txt"],
             "metrics": {"criterion": criterion,
                         "orthogonality_defect": best.orthogonality_defect(),
@@ -199,7 +219,7 @@ def stage_cluster(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
 
 def stage_align(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     source, target = _load_normalized(run, cfg)
-    single = load_linear_map(run.path("single_map.txt"))
+    single = run.load_map("single_map.txt")
     partition = _load_partition(run, source)
     pairing, merged = partition_target_with_merge(single, partition, source, target,
                                                   k=cfg.cluster.align_csls_k)
@@ -214,7 +234,7 @@ def stage_align(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
 
 def stage_multi_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     source, target = _load_normalized(run, cfg)
-    single = load_linear_map(run.path("single_map.txt"))
+    single = run.load_map("single_map.txt")
     pairing = _load_pairing(run, source, target)
     gan_cfg = replace(cfg.multi_gan, seed=seed)
     lambda_fixed = cfg.multi.lambda_fixed if cfg.multi.lambda_mode == "fixed" else None
@@ -239,7 +259,7 @@ def stage_refine(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     metrics: dict = {"mode": cfg.refine_mode}
     logs: dict = {}  # log file name -> refinement steps
     if cfg.refine_mode == "single":
-        single = load_linear_map(run.path("single_map.txt"))
+        single = run.load_map("single_map.txt")
         refined, log = refine_linear(single, source, target, refine_cfg)
         logs["refine_log.tsv"] = log
         kind, maps = "single", [refined]

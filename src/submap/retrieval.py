@@ -24,6 +24,10 @@ _BLOCK_ELEMENTS = 2 ** 24
 # rows (or columns) per slice of a block that the top-k and scoring passes
 # work on: each pass reworks a few MB that stay in cache, not the whole block
 _SLICE = 64
+# block rows per tile when a slice of columns is copied out of a block: one
+# strided copy of a whole column slice walks every block row, and at
+# power-of-two widths those rows fall into the same cache sets
+_TILE = 128
 
 
 def _rows32(x) -> np.ndarray:
@@ -37,13 +41,16 @@ def _block_rows(n_cols: int) -> int:
 
 def _row_topk(rows: np.ndarray, k: int) -> np.ndarray:
     """[n, k]: the k largest entries of each row, in the order introselect
-    leaves them, partitioned a slice of rows at a time in a small buffer."""
+    leaves them, partitioned a slice of rows at a time in a small buffer.
+    A slice of a transposed block is copied in tiles of `_TILE` columns."""
     n, m = rows.shape
     out = np.empty((n, k), dtype=rows.dtype)
     buf = np.empty((min(_SLICE, n), m), dtype=rows.dtype)
+    tile = m if rows.flags.c_contiguous else _TILE
     for i in range(0, n, _SLICE):
         part = buf[:min(_SLICE, n - i)]
-        part[...] = rows[i:i + _SLICE]
+        for j in range(0, m, tile):
+            part[:, j:j + tile] = rows[i:i + _SLICE, j:j + tile]
         part.partition(m - k, axis=1)
         out[i:i + _SLICE] = part[:, -k:]
     return out
@@ -58,7 +65,8 @@ def topk_mean(sims: np.ndarray, k: int) -> np.ndarray:
 def _column_topk(sims: np.ndarray, k: int) -> np.ndarray:
     """[n_cols, k]: the k largest entries of each column as a row, or every
     entry when a column has fewer than k.  Each stripe of columns is
-    partitioned as a contiguous transposed copy."""
+    partitioned as a contiguous transposed copy, filled a tile of rows at
+    a time."""
     cols = sims.T
     return cols.copy() if cols.shape[1] < k else _row_topk(cols, k)
 

@@ -1,5 +1,6 @@
 import configparser
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from submap.errors import ConfigError
 from submap import pipeline
 from submap.pipeline import RunDir, run_pipeline, run_stage, stages_for
 from submap.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
-from submap.mapping import load_linear_map
+from submap.mapping import LinearMap, load_linear_map, save_linear_map
 from submap.retrieval import load_dictionary_tokens
 
 TINY_CONFIG = """
@@ -49,6 +50,19 @@ csls_k = 5
 [evaluation]
 csls_k = 5
 """
+
+
+@pytest.fixture
+def map_loads(monkeypatch):
+    """The names of the map files `pipeline` parses, in order."""
+    parsed = []
+
+    def counting_load(path):
+        parsed.append(Path(path).name)
+        return load_linear_map(path)
+
+    monkeypatch.setattr(pipeline, "load_linear_map", counting_load)
+    return parsed
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +240,33 @@ class TestPipeline:
         with pytest.raises(Seen):
             run_stage(run, cfg, "cluster")
         assert np.array_equal(seen[0], basis)
+
+    @pytest.mark.parametrize("refine_mode", ["global", "single"])
+    def test_maps_written_in_process_are_not_parsed(self, tmp_path, synth_dir, map_loads,
+                                                    refine_mode):
+        cfg = load_config(write_config(tmp_path, synth_dir, refine_mode=refine_mode))
+        run = run_pipeline(cfg, tmp_path / "kept")
+        names = sorted(str(p.relative_to(run.root)) for p in run.root.rglob("*map*.txt"))
+        assert "single_map.txt" in names and "final/map_000.txt" in names
+        for name in names:  # each kept map is what its file parses to
+            assert run.load_map(name).w.tobytes() == load_linear_map(run.path(name)).w.tobytes()
+        assert map_loads == []
+
+    def test_rewritten_map_is_parsed_again(self, tmp_path, map_loads):
+        run = RunDir(tmp_path / "maps")
+        run.save_map("m.txt", LinearMap(np.eye(3)))
+        assert np.array_equal(run.load_map("m.txt").w, np.eye(3)) and map_loads == []
+        # the same size on disk, so only the new modification time tells
+        swapped = np.eye(3)[[1, 0, 2]]
+        save_linear_map(run.path("m.txt"), LinearMap(swapped))
+        st = run.path("m.txt").stat()
+        os.utime(run.path("m.txt"), ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
+        assert np.array_equal(run.load_map("m.txt").w, swapped) and map_loads == ["m.txt"]
+        run.load_map("m.txt")
+        assert map_loads == ["m.txt"]
+        # a new RunDir, as each per-stage subcommand makes, parses from disk
+        assert np.array_equal(RunDir(run.root).load_map("m.txt").w, swapped)
+        assert map_loads == ["m.txt", "m.txt"]
 
     def test_single_mode_skips_clustering(self, tmp_path, synth_dir):
         cfg = load_config(write_config(tmp_path, synth_dir, refine_mode="single"))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submap import embeddings
 from submap.embeddings import (EmbeddingSpace, iterative_normalize, load_embeddings,
                                save_embeddings, unit_rows)
 from submap.errors import (DegenerateVectorError, EmptySpaceError, ParseError,
@@ -87,6 +88,85 @@ def test_load_parses_each_value_as_float_does(tmp_path, text):
         return
     got = load_embeddings(path, max_vocab=10).vectors[1]
     assert np.array_equal(got, [expected, 1.0], equal_nan=True)
+
+
+def _outcome(parse):
+    """What a parse gives: its words and vector bytes, or its error."""
+    try:
+        got = parse()
+    except ParseError as e:
+        return "ParseError", str(e)
+    words, vectors = (got.words, got.vectors) if isinstance(got, EmbeddingSpace) else got
+    return tuple(words), None if vectors is None else (vectors.shape, vectors.tobytes())
+
+
+# (file text after a header "9 2", max_vocab, whether the C parse answers)
+PARSE_CORPUS = {
+    "duplicates before the cut": ("a 1 2\nb 3 4\na 5 6\nc 7 8\nd 9 0\n", 3, True),
+    "duplicate after the cut is not read": ("a 1 2\nb 3 4\nb 9 9\nc x y\n", 2, True),
+    "malformed duplicate fails the file": ("a 1 2\nb 3 4\na 5 x\nc 7 8\n", 3, False),
+    "blank lines": ("\na 1 2\n\n\nb 3 4\n\n", 10, True),
+    "only blank lines": ("\n\n", 10, True),
+    "header count shorter than the file": ("a 1 2\nb 3 4\n" * 4 + "c 5 6\nd x\n", 10, True),
+    "crlf line endings": ("a 1 2\r\nb 3 4\r\n\r\nc 5 6\r\n", 10, True),
+    "lone carriage return splits a line": ("a 1\r2\nb 3 4\n", 10, False),
+    "no final newline": ("a 1 2\nb 3 4", 10, True),
+    "trailing space": ("a 1 2 \nb 3 4\n", 10, False),
+    "double space": ("a 1  2\nb 3 4\n", 10, False),
+    "tab inside a field": ("a 1\t2 3\nb 3 4\n", 10, False),
+    "tab beside a field": ("a 1\t 2\nb \t3 4\n", 10, True),
+    "token-only line": ("a\nb 3 4\n", 10, False),
+    "token and a space": ("a \nb 3 4\n", 10, False),
+    "token and two spaces": ("a  \nb 3 4\n", 10, False),
+    "one float too many": ("a 1 2 3\nb 3 4\n", 10, False),
+    "every line one float too many": ("a 1 2 3\nb 3 4 5\n", 10, False),
+    "empty token": (" 1 2\nb 3 4\n", 10, True),
+    "ascii separator beside a field": ("a 1\x1c 2\nb 3 4\n", 10, False),
+    "unicode space beside a field": ("a 1\xa0 \u20032\nb 3\x85 4\n", 10, True),
+    "signed zeros, nans and extremes": ("a -0 +0\nb -nan NaN\nc -Infinity 1e400\n"
+                                        "d 5e-324 2.2250738585072011e-308\n", 10, True),
+    "decimal forms": ("a +.5 1.\nb 1E5 -7e-3\n", 10, True),
+}
+for _text in ["1_0", "\u0661\u0662", "nan", "-inf", "1e400", "5e-324", "", "1,0", "0x1p3"]:
+    PARSE_CORPUS[f"float syntax {_text!r}"] = (
+        f"a 1 0\nb {_text} 1\n", 10, _text in ("nan", "-inf", "1e400", "5e-324"))
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_CORPUS))
+def test_c_parse_matches_per_line_loop(tmp_path, name):
+    body, max_vocab, in_c = PARSE_CORPUS[name]
+    path = tmp_path / "e.vec"
+    path.write_bytes(("9 2\n" + body).encode("utf-8"))
+    want = _outcome(lambda: embeddings._parse_per_line(path, max_vocab))
+    fast = embeddings._parse_in_c(path, max_vocab)
+    assert (fast is not None) == in_c
+    if fast is not None:
+        assert _outcome(lambda: fast) == want
+    try:
+        got = _outcome(lambda: load_embeddings(path, max_vocab))
+    except EmptySpaceError:
+        assert want == ((), None)
+    else:
+        assert got == want
+
+
+field_strategy = st.lists(st.sampled_from(list("0123456789+-.eE_naifINF,x\t\x0b\x1c\x1f")
+                                          + ["\xa0", "\u0661", "\u2028", "nan", "inf",
+                                             "1e-400"]),
+                          max_size=5).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.lists(field_strategy, min_size=4, max_size=4))
+def test_c_parse_reads_each_field_as_the_loop_does(tmp_path_factory, fields):
+    path = tmp_path_factory.mktemp("fields") / "e.vec"
+    path.write_text(f"2 2\na {fields[0]} {fields[1]}\nb {fields[2]} {fields[3]}\n",
+                    encoding="utf-8")
+    want = _outcome(lambda: embeddings._parse_per_line(path, 10))
+    fast = embeddings._parse_in_c(path, 10)
+    if fast is not None:
+        assert _outcome(lambda: fast) == want
+    assert _outcome(lambda: load_embeddings(path, 10)) == want
 
 
 def test_load_empty_file(tmp_path):

@@ -124,11 +124,12 @@ def tied_rows(g, n, d=3):
 class TestSlicedKernel:
     """The sliced passes against the frozen one-shot kernel, bit for bit,
     with slices of 3 so that k = 5 spans more than one slice and every
-    slice loop ends on a ragged tail."""
+    slice loop ends on a ragged tail, and column tiles of 4 rows."""
 
     @pytest.fixture(autouse=True)
     def thin_slices(self, monkeypatch):
         monkeypatch.setattr(retrieval, "_SLICE", 3)
+        monkeypatch.setattr(retrieval, "_TILE", 4)
 
     @pytest.mark.parametrize("keep_prob", [1.0, 0.3])
     @pytest.mark.parametrize("step", [None, 7, 4])  # 1 block; 4 blocks; 6 blocks, each < k rows
@@ -157,6 +158,49 @@ class TestSlicedKernel:
                 for block in (sims, sims[:k - 1]):  # fewer than k rows: keeps them all
                     r_s = retrieval._column_topk(block, k).mean(axis=1, dtype=np.float64)
                     assert np.array_equal(r_s, one_shot_r_s(one_shot_column_topk(block, k)))
+
+
+def untiled_column_topk(sims, k):
+    """The column top-k with each column slice filled by one strided copy."""
+    n, m = sims.shape
+    if n < k:
+        return sims.T.copy()
+    out = np.empty((m, k), dtype=sims.dtype)
+    for j in range(0, m, retrieval._SLICE):
+        part = np.ascontiguousarray(sims[:, j:j + retrieval._SLICE].T)
+        part.partition(n - k, axis=1)
+        out[j:j + retrieval._SLICE] = part[:, -k:]
+    return out
+
+
+class TestTiledColumnTopk:
+    @pytest.mark.parametrize("width", [1200, 4000, 4032, 4096])
+    @pytest.mark.parametrize("rows", [300, 50])  # two tiles and a ragged one; under one tile
+    def test_matches_untiled_stripe_copy(self, width, rows):
+        assert rows < retrieval._TILE or rows % retrieval._TILE
+        sims = np.random.default_rng(width + rows).standard_normal((rows, width),
+                                                                   dtype=np.float32)
+        got = retrieval._column_topk(sims, 10)
+        assert got.tobytes() == untiled_column_topk(sims, 10).tobytes()
+
+    def test_matches_untiled_stripe_copy_on_the_merge_path(self, monkeypatch):
+        n_q, n_t, k = 600, 4096, 10
+        monkeypatch.setattr(retrieval, "_BLOCK_ELEMENTS", 256 * n_t)  # blocks of 256, 256, 88
+        column_topk = retrieval._column_topk
+        shapes = []
+
+        def checked(sims, k):
+            got = column_topk(sims, k)
+            assert got.tobytes() == untiled_column_topk(sims, k).tobytes()
+            shapes.append(sims.shape)
+            return got
+
+        monkeypatch.setattr(retrieval, "_column_topk", checked)
+        g = np.random.default_rng(5)
+        queries = unit_rows(g.normal(size=(n_q, 20)))
+        targets = unit_rows(g.normal(size=(n_t, 20)))
+        csls_translate(queries, targets, k)
+        assert shapes == [(256, n_t), (256, n_t), (2 * k, n_t), (88, n_t), (2 * k, n_t)]
 
 
 @pytest.mark.parametrize("keep_prob", [1.0, 0.9])
