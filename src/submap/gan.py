@@ -9,6 +9,10 @@ one game against the whole language; each subspace generator
 Discriminators and W are updated alternately with SGD, W is nudged back
 toward the orthogonal manifold after every generator step, and the best
 epoch snapshot under the unsupervised selection criterion is returned.
+A game stops early after `patience` epochs in a row with no new best
+criterion (the start's counts as the first best).  Every game draws
+from its own rng, so the epochs a stop skips come after the returned
+snapshot and could only have replaced it.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ class GanConfig:
     dis_leaky_slope: float = 0.2
     criterion_vocab: int = 10000
     csls_k: int = 10
+    patience: int = 2  # epochs with no new best before a game stops; 0 runs them all
 
     def validate(self) -> "GanConfig":
         positive = ["steps_per_epoch", "batch_size", "lr_generator", "lr_discriminator",
@@ -52,8 +57,9 @@ class GanConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("epochs", "patience"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if not 0.0 < self.beta:
@@ -189,25 +195,41 @@ def _criterion(m: LinearMap, source: EmbeddingSpace, target: EmbeddingSpace,
                                vocab_limit=cfg.criterion_vocab, k=cfg.csls_k)
 
 
+@dataclass(frozen=True)
+class Trained:
+    """One game's result: the best snapshot, its criterion, the epoch it
+    was taken after (0 is the start) and the number of epochs that ran."""
+
+    map: LinearMap
+    criterion: float
+    best_epoch: int
+    epochs_run: int
+
+
 def _train(start: LinearMap, games: tuple[Game, ...], source: EmbeddingSpace,
            target: EmbeddingSpace, cfg: GanConfig, rng: np.random.Generator,
-           start_crit: float | None = None) -> tuple[LinearMap, float]:
+           start_crit: float | None = None) -> Trained:
     """Alternating adversarial training of `start` against `games`.
 
-    Runs `epochs` x `steps_per_epoch` generator steps (each preceded by
-    `dis_steps_per_gen_step` discriminator steps), evaluates the
+    Runs up to `epochs` x `steps_per_epoch` generator steps (each preceded
+    by `dis_steps_per_gen_step` discriminator steps), evaluates the
     selection criterion of `source` against `target` after every epoch,
     decays the learning rates per epoch and halves them whenever the
-    criterion drops, and returns the best snapshot with its criterion.
-    `start_crit` is the start's criterion when the caller already has it.
+    criterion drops, and returns the best snapshot.  With `patience` > 0
+    it stops once `patience` epochs in a row bring no criterion above the
+    best so far; the start's criterion is the first best, and a tie is
+    no new best.  `start_crit` is the start's criterion when the caller
+    already has it.
     """
     current = start
     if start_crit is None:
         start_crit = _criterion(start, source, target, cfg)
-    best_map, best_crit = current, start_crit
-    prev_crit = best_crit
+    best_map, best_crit, best_epoch = current, start_crit, 0
+    prev_crit = start_crit
     lr_g, lr_d = cfg.lr_generator, cfg.lr_discriminator
-    for _ in range(cfg.epochs):
+    epoch = 0
+    while epoch < cfg.epochs and not (cfg.patience and epoch - best_epoch >= cfg.patience):
+        epoch += 1
         epoch_cfg = replace(cfg, lr_generator=lr_g, lr_discriminator=lr_d)
         for _ in range(cfg.steps_per_epoch):
             for _ in range(cfg.dis_steps_per_gen_step):
@@ -215,14 +237,14 @@ def _train(start: LinearMap, games: tuple[Game, ...], source: EmbeddingSpace,
             current, _ = generator_step(current, games, epoch_cfg, rng)
         crit = _criterion(current, source, target, cfg)
         if crit > best_crit:
-            best_map, best_crit = current, crit
+            best_map, best_crit, best_epoch = current, crit, epoch
         if crit < prev_crit:
             lr_g /= 2.0
             lr_d /= 2.0
         lr_g *= cfg.lr_decay
         lr_d *= cfg.lr_decay
         prev_crit = crit
-    return best_map, best_crit
+    return Trained(best_map, best_crit, best_epoch, epoch)
 
 
 def _check_pair(source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanConfig) -> None:
@@ -232,7 +254,7 @@ def _check_pair(source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanConfig) 
 
 
 def train_single_gan(source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanConfig,
-                     start_crit: float | None = None) -> tuple[LinearMap, float]:
+                     start_crit: float | None = None) -> Trained:
     """Adversarial training from an identity start in the one language
     game (weight 1), selected on the whole source vocabulary.
     `start_crit`, when given, is the identity start's criterion."""
@@ -245,24 +267,28 @@ def train_single_gan(source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanCon
 
 
 def random_restart_train(source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanConfig,
-                         restarts: int = 10) -> tuple[LinearMap, float]:
-    """Train with seeds seed..seed+restarts-1 and keep the best criterion.
+                         restarts: int = 10) -> tuple[int, list[Trained | None]]:
+    """Train with seeds seed..seed+restarts-1.  Returns the index of the
+    restart with the best criterion (the first of a tie) and every
+    restart's result in seed order, None for one whose training diverged.
     Every restart starts from the identity, whose criterion is computed once."""
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
     _check_pair(source, target, cfg)
     start_crit = _criterion(identity_map(source.dim), source, target, cfg)
-    best: tuple[LinearMap, float] | None = None
+    runs: list[Trained | None] = []
     failures = []
+    winner = None
     for i in range(restarts):
         run_cfg = replace(cfg, seed=cfg.seed + i)
         try:
-            m, crit = train_single_gan(source, target, run_cfg, start_crit)
+            runs.append(train_single_gan(source, target, run_cfg, start_crit))
         except NumericError as e:
+            runs.append(None)
             failures.append(str(e))
             continue
-        if best is None or crit > best[1]:
-            best = (m, crit)
-    if best is None:
+        if winner is None or runs[i].criterion > runs[winner].criterion:
+            winner = i
+    if winner is None:
         raise TrainingFailedError(f"all {restarts} restarts failed: {failures}")
-    return best
+    return winner, runs

@@ -16,7 +16,7 @@ import numpy as np
 from .alignment import SubspacePairing
 from .embeddings import EmbeddingSpace
 from .errors import NumericError
-from .gan import GanConfig, Game, language_game, _mixed_loss_and_grad, _train
+from .gan import GanConfig, Game, Trained, language_game, _mixed_loss_and_grad, _train
 from .mapping import LinearMap, PiecewiseMap
 from .numerics import MlpDiscriminator, covariance_eigenvalues, init_discriminator
 
@@ -60,10 +60,10 @@ def subspace_gen_loss_and_grad(gen: LinearMap, dis_lang: MlpDiscriminator,
 
 def train_subspace_gan(cluster_id: int, single_map: LinearMap, pairing: SubspacePairing,
                        source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanConfig,
-                       lambda_i: float) -> tuple[LinearMap, float]:
+                       lambda_i: float) -> Trained:
     """Train one subspace generator from the single map in the language
     game (weight lambda_i) and the subspace game (weight 1 - lambda_i),
-    selected on the subspace's source words; returns (best map, criterion)."""
+    selected on the subspace's source words."""
     src_rows = pairing.source_members(cluster_id)
     sub_source = source.vectors[src_rows]
     sub_target = target.vectors[pairing.target_members(cluster_id)]
@@ -81,18 +81,19 @@ def train_subspace_gan(cluster_id: int, single_map: LinearMap, pairing: Subspace
 
 def train_multi_gan(single_map: LinearMap, pairing: SubspacePairing,
                     source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanConfig,
-                    lambda_fixed: float | None = None) -> tuple[PiecewiseMap, list[float]]:
+                    lambda_fixed: float | None = None
+                    ) -> tuple[PiecewiseMap, list[Trained | None]]:
     """Train every subspace generator independently from the single map.
 
-    A subspace whose training diverges keeps the single map (the
-    fallback is logged via the returned criteria list holding NaN).
-    Returns the piecewise map of best snapshots and per-subspace criteria.
+    Returns the piecewise map of best snapshots and each subspace's
+    result.  A subspace whose training diverges keeps the single map, and
+    its result is None.
     """
     cfg.validate()
     whole = evd(source.vectors, target.vectors)
     maps: list[LinearMap] = []
     lambdas: list[float] = []
-    criteria: list[float] = []
+    runs: list[Trained | None] = []
     for cluster_id in map(int, pairing.cluster_ids()):
         if lambda_fixed is not None:
             lam = float(lambda_fixed)
@@ -101,11 +102,11 @@ def train_multi_gan(single_map: LinearMap, pairing: SubspacePairing,
                                  target.vectors[pairing.target_members(cluster_id)],
                                  source.vectors, target.vectors, whole_evd=whole)
         try:
-            m, crit = train_subspace_gan(cluster_id, single_map, pairing, source, target,
+            trained = train_subspace_gan(cluster_id, single_map, pairing, source, target,
                                          cfg, lam)
         except NumericError:
-            m, crit = LinearMap(single_map.w.copy()), float("nan")
-        maps.append(m)
+            trained = None
+        maps.append(trained.map if trained else LinearMap(single_map.w.copy()))
         lambdas.append(lam)
-        criteria.append(crit)
-    return PiecewiseMap(pairing, tuple(maps), tuple(lambdas)), criteria
+        runs.append(trained)
+    return PiecewiseMap(pairing, tuple(maps), tuple(lambdas)), runs

@@ -240,12 +240,13 @@ class TestTrainSingleGan:
     def test_identical_spaces_keep_high_criterion(self):
         space = make_space(120, 6, seed=5)
         cfg = replace(SMALL, epochs=3, steps_per_epoch=60, criterion_vocab=120)
-        best, crit = train_single_gan(space, space, cfg)
+        crit = train_single_gan(space, space, cfg).criterion
         assert crit >= 0.95
 
     def test_zero_epochs_returns_identity(self, small_space):
         cfg = replace(SMALL, epochs=0, criterion_vocab=small_space.n)
-        best, crit = train_single_gan(small_space, small_space, cfg)
+        trained = train_single_gan(small_space, small_space, cfg)
+        best, crit = trained.map, trained.criterion
         assert np.array_equal(best.w, np.eye(small_space.dim))
         expected = selection_criterion(best.apply_source, small_space, small_space,
                                        vocab_limit=cfg.criterion_vocab, k=cfg.csls_k)
@@ -257,7 +258,7 @@ class TestTrainSingleGan:
         target = EmbeddingSpace(space.words, space.vectors @ q.T)
         cfg = replace(SMALL, epochs=5, steps_per_epoch=200, dis_hidden=32,
                       criterion_vocab=200, seed=2)
-        best, crit = train_single_gan(space, target, cfg)
+        crit = train_single_gan(space, target, cfg).criterion
         ident = selection_criterion(identity_map(6).apply_source, space, target,
                                     vocab_limit=200, k=10)
         assert crit > ident
@@ -265,9 +266,8 @@ class TestTrainSingleGan:
     def test_training_is_deterministic(self):
         space = make_space(60, 5, seed=8)
         target = make_space(60, 5, seed=9)
-        a, ca = train_single_gan(space, target, SMALL)
-        b, cb = train_single_gan(space, target, SMALL)
-        assert np.array_equal(a.w, b.w) and ca == cb
+        a, b = train_single_gan(space, target, SMALL), train_single_gan(space, target, SMALL)
+        assert np.array_equal(a.map.w, b.map.w) and a.criterion == b.criterion
 
     def test_stays_near_orthogonal(self):
         # desk-scale gradient magnitudes need a desk-scale manifold pull;
@@ -276,7 +276,7 @@ class TestTrainSingleGan:
         target = make_space(100, 5, seed=9)
         cfg = replace(SMALL, epochs=3, steps_per_epoch=100, criterion_vocab=100,
                       beta=0.5)
-        best, _ = train_single_gan(space, target, cfg)
+        best = train_single_gan(space, target, cfg).map
         assert best.orthogonality_defect() < 0.05
 
     def test_dimension_mismatch(self):
@@ -284,19 +284,98 @@ class TestTrainSingleGan:
             train_single_gan(make_space(10, 4), make_space(10, 5), SMALL)
 
 
+def scripted_criterion(monkeypatch, values):
+    """Make gan._criterion return `values` in order; returns its call log."""
+    calls = []
+
+    def criterion(m, source, target, cfg):
+        calls.append(m)
+        return values[len(calls) - 1]
+
+    monkeypatch.setattr(gan, "_criterion", criterion)
+    return calls
+
+
+class TestPatience:
+    # criteria of the start, then of epochs 1..6
+    @pytest.mark.parametrize("values,patience,best_epoch,epochs_run", [
+        # the start is never beaten; the rise at epoch 2 is no new best
+        ([0.5, 0.4, 0.45, 0.3, 0.35, 0.2, 0.1], 2, 0, 2),
+        # new bests at epochs 1 and 3, then two epochs below the best
+        ([0.5, 0.6, 0.55, 0.7, 0.65, 0.68, 0.9], 2, 3, 5),
+        # three epochs that rise but stay below epoch 1's best
+        ([0.5, 0.6, 0.55, 0.58, 0.59, 0.9, 1.0], 3, 1, 4),
+    ])
+    def test_stops_after_patience_epochs_with_no_new_best(self, small_space, monkeypatch,
+                                                          values, patience, best_epoch,
+                                                          epochs_run):
+        cfg = replace(SMALL, epochs=6, steps_per_epoch=2, patience=patience)
+        calls = scripted_criterion(monkeypatch, values)
+        trained = train_single_gan(small_space, small_space, cfg)
+        assert (trained.best_epoch, trained.epochs_run) == (best_epoch, epochs_run)
+        assert trained.criterion == values[best_epoch]
+        assert trained.map is calls[best_epoch]
+        assert len(calls) == 1 + trained.epochs_run
+
+    def test_zero_patience_runs_every_epoch(self, small_space, monkeypatch):
+        values = [0.5, 0.4, 0.45, 0.3, 0.35, 0.2, 0.6]
+        for patience, epochs_run, best_epoch in ((0, 6, 6), (2, 2, 0)):
+            calls = scripted_criterion(monkeypatch, values)
+            trained = train_single_gan(small_space, small_space,
+                                       replace(SMALL, epochs=6, steps_per_epoch=2,
+                                               patience=patience))
+            assert (trained.epochs_run, trained.best_epoch) == (epochs_run, best_epoch)
+            assert len(calls) == 1 + epochs_run
+
+    def test_a_tie_is_no_new_best(self, small_space, monkeypatch):
+        # epoch 2 only ties epoch 1's best, so epochs 2-4 are three without one
+        calls = scripted_criterion(monkeypatch, [0.5, 0.6, 0.6, 0.55, 0.58, 0.6, 0.6])
+        trained = train_single_gan(small_space, small_space,
+                                   replace(SMALL, epochs=6, steps_per_epoch=2, patience=3))
+        assert (trained.best_epoch, trained.epochs_run) == (1, 4)
+        assert trained.map is calls[1]
+        assert len(calls) == 5
+
+    def test_early_stop_returns_the_full_schedule_map(self, monkeypatch):
+        # a rotated target whose best snapshot (epoch 2) comes before the
+        # stop, with a rise below the best at epoch 4
+        space = make_space(200, 6, seed=6)
+        target = EmbeddingSpace(space.words, space.vectors @ random_orthogonal(6, 8).T)
+        cfg = replace(SMALL, epochs=8, steps_per_epoch=60, dis_hidden=32,
+                      criterion_vocab=200, seed=1)
+        criterion, calls = gan._criterion, []
+
+        def counting_criterion(*args):
+            calls.append(args)
+            return criterion(*args)
+
+        monkeypatch.setattr(gan, "_criterion", counting_criterion)
+        full = train_single_gan(space, target, replace(cfg, patience=0))
+        assert len(calls) == 1 + full.epochs_run == 9
+        calls.clear()
+        early = train_single_gan(space, target, cfg)
+        assert len(calls) == 1 + early.epochs_run
+        assert early.epochs_run < full.epochs_run and early.best_epoch == full.best_epoch
+        assert early.epochs_run == early.best_epoch + cfg.patience
+        assert early.map.w.tobytes() == full.map.w.tobytes()
+        assert early.criterion == full.criterion
+
+
 class TestRandomRestarts:
     def test_single_restart_equals_plain_training(self, small_space):
         target = make_space(small_space.n, small_space.dim, seed=12)
         cfg = replace(SMALL, criterion_vocab=small_space.n)
-        a, ca = random_restart_train(small_space, target, cfg, restarts=1)
-        b, cb = train_single_gan(small_space, target, cfg)
-        assert np.array_equal(a.w, b.w) and ca == cb
+        winner, runs = random_restart_train(small_space, target, cfg, restarts=1)
+        a, b = runs[winner], train_single_gan(small_space, target, cfg)
+        assert np.array_equal(a.map.w, b.map.w) and a.criterion == b.criterion
 
     def test_three_restarts_return_best_criterion(self, small_space):
         target = make_space(small_space.n, small_space.dim, seed=13)
         cfg = replace(SMALL, criterion_vocab=small_space.n)
-        _, best = random_restart_train(small_space, target, cfg, restarts=3)
-        singles = [train_single_gan(small_space, target, replace(cfg, seed=cfg.seed + i))[1]
+        winner, runs = random_restart_train(small_space, target, cfg, restarts=3)
+        best = runs[winner].criterion
+        singles = [train_single_gan(small_space, target,
+                                    replace(cfg, seed=cfg.seed + i)).criterion
                    for i in range(3)]
         assert best == max(singles)
 
@@ -318,9 +397,9 @@ class TestRandomRestarts:
     def test_deterministic_choice(self, small_space):
         target = make_space(small_space.n, small_space.dim, seed=14)
         cfg = replace(SMALL, criterion_vocab=small_space.n)
-        a, _ = random_restart_train(small_space, target, cfg, restarts=2)
-        b, _ = random_restart_train(small_space, target, cfg, restarts=2)
-        assert np.array_equal(a.w, b.w)
+        wa, a = random_restart_train(small_space, target, cfg, restarts=2)
+        wb, b = random_restart_train(small_space, target, cfg, restarts=2)
+        assert np.array_equal(a[wa].map.w, b[wb].map.w)
 
     def test_rejects_zero_restarts(self, small_space):
         with pytest.raises(ConfigError):
@@ -345,7 +424,8 @@ class TestDivergence:
             return train(source, target, run_cfg, *args)
 
         monkeypatch.setattr(gan, "train_single_gan", diverge_on_odd_seeds)
-        m, crit = random_restart_train(small_space, target, cfg, restarts=4)
+        winner, runs = random_restart_train(small_space, target, cfg, restarts=4)
+        m, crit = runs[winner].map, runs[winner].criterion
         kept = [train(small_space, target, replace(cfg, seed=cfg.seed + i)) for i in (0, 2)]
-        best = max(kept, key=lambda r: r[1])
-        assert np.array_equal(m.w, best[0].w) and crit == best[1]
+        best = max(kept, key=lambda r: r.criterion)
+        assert np.array_equal(m.w, best.map.w) and crit == best.criterion

@@ -34,6 +34,11 @@ def constant_half_discriminator(d, h=4):
                             input_dropout=0.0)
 
 
+def criteria_of(runs):
+    """Each subspace's criterion, NaN for one whose training diverged."""
+    return [np.nan if r is None else r.criterion for r in runs]
+
+
 def two_games(dis_lang, dis_sub, lambda_i, source, target, sub_source, sub_target):
     return (language_game(dis_lang, source, target, SMALL, lambda_i),
             Game(dis_sub, sub_target, sub_source, 1.0 - lambda_i))
@@ -198,7 +203,8 @@ class TestTrainMultiGan:
         single = LinearMap(q)
         pairing = tiny_pairing(small_space, pieces=2)
         cfg = replace(SMALL, epochs=0, criterion_vocab=small_space.n)
-        pm, criteria = train_multi_gan(single, pairing, small_space, small_space, cfg)
+        pm, runs = train_multi_gan(single, pairing, small_space, small_space, cfg)
+        criteria = criteria_of(runs)
         assert len(pm.maps) == 2
         for m in pm.maps:
             assert np.array_equal(m.w, q)
@@ -212,7 +218,8 @@ class TestTrainMultiGan:
         single = LinearMap(q)  # already aligned
         pairing = tiny_pairing(inst.source, pieces=1)
         cfg = replace(SMALL, epochs=2, steps_per_epoch=50, criterion_vocab=120)
-        pm, criteria = train_multi_gan(single, pairing, inst.source, target, cfg)
+        pm, runs = train_multi_gan(single, pairing, inst.source, target, cfg)
+        criteria = criteria_of(runs)
         start = selection_criterion(lambda v, i: v @ q.T, inst.source, target,
                                     vocab_limit=120, k=5)
         assert criteria[0] >= start - 0.02
@@ -223,13 +230,14 @@ class TestTrainMultiGan:
         pairing = tiny_pairing(small_space, pieces=2)
         single = identity_map(small_space.dim)
         cfg = replace(SMALL, epochs=1, steps_per_epoch=20, criterion_vocab=20)
-        pm, criteria = train_multi_gan(single, pairing, small_space, target, cfg)
+        pm, runs = train_multi_gan(single, pairing, small_space, target, cfg)
+        criteria = criteria_of(runs)
         lam1 = dynamic_lambda(small_space.vectors[pairing.source_members(1)],
                               target.vectors[pairing.target_members(1)],
                               small_space.vectors, target.vectors)
         assert pm.lambdas[1] == lam1
-        alone1, crit1 = train_subspace_gan(1, single, pairing, small_space,
-                                           target, cfg, lam1)
+        alone = train_subspace_gan(1, single, pairing, small_space, target, cfg, lam1)
+        alone1, crit1 = alone.map, alone.criterion
         assert np.array_equal(pm.maps[1].w, alone1.w)
         assert criteria[1] == crit1
 
@@ -275,10 +283,62 @@ class TestTrainMultiGan:
             cfg = replace(SMALL, epochs=4, steps_per_epoch=250, batch_size=32,
                           dis_hidden=64, dis_steps_per_gen_step=2,
                           criterion_vocab=300, csls_k=10, seed=seed)
-            pm, criteria = train_multi_gan(single, pairing, src, tgt, cfg)
+            pm, runs = train_multi_gan(single, pairing, src, tgt, cfg)
+            criteria = criteria_of(runs)
             improved = sum(1 for c in range(3) if criteria[c] > base[c])
             best_improved = max(best_improved, improved)
         assert best_improved >= 2
+
+
+class TestPatience:
+    def test_subspace_game_stops_after_patience_epochs_with_no_new_best(
+            self, small_space, monkeypatch):
+        # criteria of the start, then of epochs 1..6: a new best at epoch 1,
+        # a rise at epoch 3 that is no new best, a tie at epoch 4
+        values = [0.5, 0.6, 0.4, 0.5, 0.6, 0.7, 0.8]
+        calls = []
+
+        def criterion(m, source, target, cfg):
+            calls.append(m)
+            return values[len(calls) - 1]
+
+        monkeypatch.setattr(gan, "_criterion", criterion)
+        pairing = tiny_pairing(small_space, pieces=2)
+        cfg = replace(SMALL, epochs=6, steps_per_epoch=2, criterion_vocab=20)
+        for patience, best_epoch, epochs_run in ((3, 1, 4), (0, 6, 6)):
+            calls.clear()
+            trained = train_subspace_gan(1, identity_map(small_space.dim), pairing,
+                                         small_space, small_space,
+                                         replace(cfg, patience=patience), 0.5)
+            assert (trained.best_epoch, trained.epochs_run) == (best_epoch, epochs_run)
+            assert trained.map is calls[best_epoch]
+            assert len(calls) == 1 + epochs_run
+
+    def test_early_stop_returns_the_full_schedule_map(self, monkeypatch):
+        # a rotated target whose subspace-1 best (epoch 2) comes before the
+        # stop, with a rise below the best at epoch 4
+        space = make_space(200, 6, seed=7)
+        target = EmbeddingSpace(space.words, space.vectors @ random_orthogonal(6, 7).T)
+        pairing = tiny_pairing(space, pieces=2)
+        cfg = replace(SMALL, epochs=8, steps_per_epoch=60, dis_hidden=32,
+                      criterion_vocab=200, seed=2)
+        criterion, calls = gan._criterion, []
+
+        def counting_criterion(*args):
+            calls.append(args)
+            return criterion(*args)
+
+        monkeypatch.setattr(gan, "_criterion", counting_criterion)
+        full = train_subspace_gan(1, identity_map(6), pairing, space, target,
+                                  replace(cfg, patience=0), 0.5)
+        assert len(calls) == 1 + full.epochs_run == 9
+        calls.clear()
+        early = train_subspace_gan(1, identity_map(6), pairing, space, target, cfg, 0.5)
+        assert len(calls) == 1 + early.epochs_run
+        assert early.epochs_run < full.epochs_run and early.best_epoch == full.best_epoch
+        assert early.epochs_run == early.best_epoch + cfg.patience
+        assert early.map.w.tobytes() == full.map.w.tobytes()
+        assert early.criterion == full.criterion
 
 
 class TestDivergence:
@@ -293,8 +353,9 @@ class TestDivergence:
                         for c in range(2))
         for fixed, lambdas in ((None, dynamic), (0.25, (0.25, 0.25))):
             with np.errstate(all="ignore"):
-                pm, criteria = train_multi_gan(single, pairing, small_space, target, cfg,
-                                               lambda_fixed=fixed)
+                pm, runs = train_multi_gan(single, pairing, small_space, target, cfg,
+                                           lambda_fixed=fixed)
+            criteria = criteria_of(runs)
             assert all(np.isnan(c) for c in criteria)
             assert pm.lambdas == lambdas
             for m in pm.maps:
