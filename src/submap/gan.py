@@ -9,10 +9,10 @@ one game against the whole language; each subspace generator
 Discriminators and W are updated alternately with SGD, W is nudged back
 toward the orthogonal manifold after every generator step, and the best
 epoch snapshot under the unsupervised selection criterion is returned.
-A game stops early after `patience` epochs in a row with no new best
+A game stops early after `_PATIENCE` epochs in a row with no new best
 criterion (the start's counts as the first best).  Every game draws
-from its own rng, so the epochs a stop skips come after the returned
-snapshot and could only have replaced it.
+from its own rng, so a stop returns the full schedule's snapshot unless
+a later epoch would have beaten it after the flat ones.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .numerics import (MlpDiscriminator, bce_input_gradient, bce_loss_from_logit
                        init_discriminator, _dropout_mask, _forward, _param_grads,
                        _sgd_update)
 from .retrieval import selection_criterion
+
+_PATIENCE = 2  # epochs in a row with no new best criterion before a game stops; 0 runs all
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,6 @@ class GanConfig:
     dis_leaky_slope: float = 0.2
     criterion_vocab: int = 10000
     csls_k: int = 10
-    patience: int = 2  # epochs with no new best before a game stops; 0 runs them all
 
     def validate(self) -> "GanConfig":
         positive = ["steps_per_epoch", "batch_size", "lr_generator", "lr_discriminator",
@@ -57,9 +58,8 @@ class GanConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("epochs", "patience"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if not 0.0 < self.beta:
@@ -215,8 +215,8 @@ def _train(start: LinearMap, games: tuple[Game, ...], source: EmbeddingSpace,
     by `dis_steps_per_gen_step` discriminator steps), evaluates the
     selection criterion of `source` against `target` after every epoch,
     decays the learning rates per epoch and halves them whenever the
-    criterion drops, and returns the best snapshot.  With `patience` > 0
-    it stops once `patience` epochs in a row bring no criterion above the
+    criterion drops, and returns the best snapshot.  With `_PATIENCE` > 0
+    it stops once `_PATIENCE` epochs in a row bring no criterion above the
     best so far; the start's criterion is the first best, and a tie is
     no new best.  `start_crit` is the start's criterion when the caller
     already has it.
@@ -228,7 +228,7 @@ def _train(start: LinearMap, games: tuple[Game, ...], source: EmbeddingSpace,
     prev_crit = start_crit
     lr_g, lr_d = cfg.lr_generator, cfg.lr_discriminator
     epoch = 0
-    while epoch < cfg.epochs and not (cfg.patience and epoch - best_epoch >= cfg.patience):
+    while epoch < cfg.epochs and not (_PATIENCE and epoch - best_epoch >= _PATIENCE):
         epoch += 1
         epoch_cfg = replace(cfg, lr_generator=lr_g, lr_discriminator=lr_d)
         for _ in range(cfg.steps_per_epoch):
@@ -267,10 +267,10 @@ def train_single_gan(source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanCon
 
 
 def random_restart_train(source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanConfig,
-                         restarts: int = 10) -> tuple[int, list[Trained | None]]:
-    """Train with seeds seed..seed+restarts-1.  Returns the index of the
-    restart with the best criterion (the first of a tie) and every
-    restart's result in seed order, None for one whose training diverged.
+                         restarts: int = 10) -> tuple[Trained, list[Trained | None]]:
+    """Train with seeds seed..seed+restarts-1.  Returns the result with the
+    best criterion (the first of a tie) and every restart's result in seed
+    order, None for one whose training diverged.
     Every restart starts from the identity, whose criterion is computed once."""
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
@@ -278,17 +278,18 @@ def random_restart_train(source: EmbeddingSpace, target: EmbeddingSpace, cfg: Ga
     start_crit = _criterion(identity_map(source.dim), source, target, cfg)
     runs: list[Trained | None] = []
     failures = []
-    winner = None
+    best: Trained | None = None
     for i in range(restarts):
         run_cfg = replace(cfg, seed=cfg.seed + i)
         try:
-            runs.append(train_single_gan(source, target, run_cfg, start_crit))
+            trained = train_single_gan(source, target, run_cfg, start_crit)
         except NumericError as e:
             runs.append(None)
             failures.append(str(e))
             continue
-        if winner is None or runs[i].criterion > runs[winner].criterion:
-            winner = i
-    if winner is None:
+        runs.append(trained)
+        if best is None or trained.criterion > best.criterion:
+            best = trained
+    if best is None:
         raise TrainingFailedError(f"all {restarts} restarts failed: {failures}")
-    return winner, runs
+    return best, runs

@@ -7,16 +7,14 @@ identical artifacts.  Stage seeds derive from the master seed and the
 stage name; timings live in their own manifest key and are the only
 nondeterministic field.
 
-Each normalized space, map, partition and centroid file is parsed at
-most once per process: the RunDir keeps what it parsed, stamped with the
-file's modification time and size, and parses a file again only when
-its stamp changed.  A write through the RunDir drops what was kept from
-that file, since a rewrite of the same size inside one mtime tick would
-keep its stamp.  A map the process wrote itself is kept as written,
-stamped after the write, and never parsed: '%.17g' text reads back every
-bit.  The kept object is exactly what the text parses to, so a stage
-sees the same inputs whether it runs inside `pipeline` or as its own
-subcommand, which parses from disk.
+Each normalized space and each map is parsed at most once per process:
+the RunDir keeps what it parsed, stamped with the file's modification
+time and size, and parses a file again only when its stamp changed.  A
+map the process wrote itself is kept as written, stamped after the
+write, and never parsed: '%.17g' text reads back every bit.  The kept
+object is exactly what the text parses to, so a stage sees the same
+inputs whether it runs inside `pipeline` or as its own subcommand,
+which parses from disk.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ import json
 import time
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .alignment import SubspacePairing, partition_target_with_merge
 from .clustering import (Partition, finch_hierarchy, kmeans, load_assignments,
@@ -46,8 +42,8 @@ from .retrieval import (gold_multimap, induce_seed_dictionary, load_dictionary_t
                         save_dictionary)
 
 class RunDir:
-    """Artifact paths, the manifest, and the spaces, maps and partition
-    files kept parsed, for one run directory."""
+    """Artifact paths, the manifest, and the spaces and maps kept parsed,
+    for one run directory."""
 
     def __init__(self, out: str | Path):
         self.root = Path(out)
@@ -64,8 +60,7 @@ class RunDir:
 
     def _parsed(self, name: str, key: tuple, parse):
         """parse(path of `name`), parsed again only when the file's
-        modification time or size changed since it was kept under `key`,
-        whose first element is `name`."""
+        modification time or size changed since it was kept under `key`."""
         stamp = self._stamp(name)  # before parsing, so a concurrent rewrite reads as a change
         kept = self._kept.get(key)
         if kept is None or kept[0] != stamp:
@@ -81,27 +76,10 @@ class RunDir:
         """The map file `name` as load_linear_map parses it."""
         return self._parsed(name, (name,), load_linear_map)
 
-    def load_assignments(self, name: str, words: tuple[str, ...]) -> np.ndarray:
-        """The read-only cluster ids load_assignments resolves from `name`
-        against `words`."""
-        return self._parsed(name, (name, words),
-                            lambda path: _read_only(load_assignments(path, words)))
-
-    def load_matrix(self, name: str) -> np.ndarray:
-        """The read-only matrix load_matrix parses from `name`."""
-        return self._parsed(name, (name,), lambda path: _read_only(load_matrix(path)))
-
-    def save(self, name: str, write, *args) -> None:
-        """write(path of `name`, *args), dropping whatever was kept from
-        the file."""
-        for key in [key for key in self._kept if key[0] == name]:
-            del self._kept[key]
-        write(self.path(name), *args)
-
     def save_map(self, name: str, m: LinearMap) -> None:
         """Write `m` to `name` and keep it as what the file parses to:
         '%.17g' reads back every float64 bit for bit."""
-        self.save(name, save_linear_map, m)
+        save_linear_map(self.path(name), m)
         self._kept[(name,)] = (self._stamp(name), LinearMap(m.w.copy()))
 
     def manifest_path(self) -> Path:
@@ -138,29 +116,26 @@ class RunDir:
         self.update_manifest(failure_stage=name, failure=f"{type(error).__name__}: {error}")
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _load_normalized(run: RunDir, cfg: PipelineConfig):
     return (run.load_space("source.norm.vec", cfg.data.max_vocab),
             run.load_space("target.norm.vec", cfg.data.max_vocab))
 
 
 def _save_partition(run: RunDir, partition: Partition, words) -> None:
-    run.save("source_partition.tsv", save_assignments, words, partition.assignments)
-    run.save("source_centroids.txt", save_matrix, partition.centroids)
+    save_assignments(run.path("source_partition.tsv"), words, partition.assignments)
+    save_matrix(run.path("source_centroids.txt"), partition.centroids)
 
 
 def _load_partition(run: RunDir, source: EmbeddingSpace) -> Partition:
-    return Partition(run.load_assignments("source_partition.tsv", source.words),
-                     run.load_matrix("source_centroids.txt"))
+    assignments = load_assignments(run.path("source_partition.tsv"), source.words)
+    centroids = load_matrix(run.path("source_centroids.txt"))
+    return Partition(assignments, centroids)
 
 
 def _load_pairing(run: RunDir, source: EmbeddingSpace, target: EmbeddingSpace) -> SubspacePairing:
-    return SubspacePairing(_load_partition(run, source),
-                           run.load_assignments("target_assignments.tsv", target.words))
+    partition = _load_partition(run, source)
+    target_assignments = load_assignments(run.path("target_assignments.tsv"), target.words)
+    return SubspacePairing(partition, target_assignments)
 
 
 def _save_mapset(run: RunDir, subdir: str, kind: str, maps: list[LinearMap],
@@ -210,17 +185,17 @@ def stage_normalize(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     else:
         source = EmbeddingSpace(source.words, unit_rows(source.vectors, source.words))
         target = EmbeddingSpace(target.words, unit_rows(target.vectors, target.words))
-    run.save("source.norm.vec", save_embeddings, source)
-    run.save("target.norm.vec", save_embeddings, target)
+    save_embeddings(run.path("source.norm.vec"), source)
+    save_embeddings(run.path("target.norm.vec"), target)
     return {"artifacts": ["source.norm.vec", "target.norm.vec"],
             "metrics": {"source_n": source.n, "target_n": target.n, "dim": source.dim}}
 
 
-def _game_metrics(games: list[Trained | None]) -> dict:
-    """Per game, in order: its best criterion, the epochs it ran, and the
-    epoch of its best snapshot (0 is the start).  A game whose training
-    diverged reads NaN, null and null."""
-    return {"criteria": [g.criterion if g else float("nan") for g in games],
+def _game_metrics(games: list[Trained | None], criteria_key: str) -> dict:
+    """Per game, in order: its best criterion (under `criteria_key`), the
+    epochs it ran, and the epoch of its best snapshot (0 is the start).
+    A game whose training diverged reads NaN, null and null."""
+    return {criteria_key: [g.criterion if g else float("nan") for g in games],
             "epochs_run": [g.epochs_run if g else None for g in games],
             "best_epochs": [g.best_epoch if g else None for g in games]}
 
@@ -228,17 +203,15 @@ def _game_metrics(games: list[Trained | None]) -> dict:
 def stage_single_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     source, target = _load_normalized(run, cfg)
     gan_cfg = replace(cfg.single_gan, seed=seed)
-    winner, restarts = random_restart_train(source, target, gan_cfg,
-                                            restarts=cfg.single_restarts)
-    best = restarts[winner]
+    best, restarts = random_restart_train(source, target, gan_cfg,
+                                          restarts=cfg.single_restarts)
     run.save_map("single_map.txt", best.map)
-    per_game = _game_metrics(restarts)
     return {"artifacts": ["single_map.txt"],
             "metrics": {"criterion": best.criterion,
                         "orthogonality_defect": best.map.orthogonality_defect(),
                         "restarts": cfg.single_restarts,
-                        "restart_criteria": per_game.pop("criteria"),
-                        "winning_restart": winner, **per_game}}
+                        "winning_restart": next(i for i, r in enumerate(restarts) if r is best),
+                        **_game_metrics(restarts, "restart_criteria")}}
 
 
 def stage_cluster(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
@@ -262,8 +235,8 @@ def stage_align(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     pairing, merged = partition_target_with_merge(single, partition, source, target,
                                                   k=cfg.cluster.align_csls_k)
     _save_partition(run, pairing.source_partition, source.words)
-    run.save("target_assignments.tsv", save_assignments, target.words,
-             pairing.target_assignments)
+    save_assignments(run.path("target_assignments.tsv"), target.words,
+                     pairing.target_assignments)
     return {"artifacts": ["target_assignments.tsv", "source_partition.tsv",
                           "source_centroids.txt"],
             "metrics": {"pair_sizes": pairing.pair_sizes(),
@@ -278,7 +251,7 @@ def stage_multi_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     lambda_fixed = cfg.multi.lambda_fixed if cfg.multi.lambda_mode == "fixed" else None
     pm, subspaces = train_multi_gan(single, pairing, source, target, gan_cfg,
                                     lambda_fixed=lambda_fixed)
-    per_game = _game_metrics(subspaces)
+    per_game = _game_metrics(subspaces, "criteria")
     artifacts = _save_mapset(run, "multi", "piecewise", list(pm.maps),
                              {"lambdas": list(pm.lambdas), "criteria": per_game["criteria"]})
     return {"artifacts": artifacts, "metrics": {**per_game, "lambdas": list(pm.lambdas)}}

@@ -10,7 +10,7 @@ import pytest
 from submap.cli import _STAGE_COMMANDS, main
 from submap.config import PipelineConfig, config_digest, derive_seed, load_config
 from submap.errors import ConfigError
-from submap import pipeline
+from submap import gan, pipeline
 from submap.pipeline import RunDir, run_pipeline, run_stage, stages_for
 from submap.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
 from submap.mapping import LinearMap, load_linear_map, save_linear_map
@@ -110,14 +110,6 @@ class TestConfig:
         assert cfg.multi_gan.dis_hidden == 16  # inherits the single-GAN section
         assert config_digest(cfg) == config_digest(load_config(cfg_path))
 
-    def test_multi_gan_inherits_and_overrides_patience(self, tmp_path, synth_dir):
-        cfg_path = write_config(tmp_path, synth_dir)
-        assert load_config(cfg_path).multi_gan.patience == 2  # the default
-        cfg = load_config(set_value(cfg_path, "single_gan", "patience", "0"))
-        assert cfg.single_gan.patience == 0 and cfg.multi_gan.patience == 0
-        cfg = load_config(set_value(cfg_path, "multi_gan", "patience", "3"))
-        assert cfg.single_gan.patience == 0 and cfg.multi_gan.patience == 3
-
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[run]\nbogus = 1\n", encoding="utf-8")
@@ -204,8 +196,8 @@ class TestPipeline:
         assert len(multi["epochs_run"]) == len(multi["best_epochs"]) == subspaces
         for metrics, epochs in ((single, 5), (multi, 4)):
             for best, ran in zip(metrics["best_epochs"], metrics["epochs_run"]):
-                # a game runs every epoch or stops `patience` epochs after its best
-                assert 0 <= best <= ran and ran in (epochs, best + cfg.single_gan.patience)
+                # a game runs every epoch or stops `_PATIENCE` epochs after its best
+                assert 0 <= best <= ran and ran in (epochs, best + gan._PATIENCE)
 
     def test_stage_gating_stops_early(self, tmp_path, synth_dir):
         from dataclasses import replace
@@ -267,47 +259,6 @@ class TestPipeline:
         with pytest.raises(Seen):
             run_stage(run, cfg, "cluster")
         assert np.array_equal(seen[0], basis)
-
-    def test_partition_files_parsed_once_per_version(self, tmp_path, synth_dir, monkeypatch):
-        cfg = load_config(write_config(tmp_path, synth_dir))
-        parsed = []
-
-        def counting(load):
-            def counted(path, *args):
-                parsed.append(Path(path).name)
-                return load(path, *args)
-            return counted
-
-        monkeypatch.setattr(pipeline, "load_assignments", counting(pipeline.load_assignments))
-        monkeypatch.setattr(pipeline, "load_matrix", counting(pipeline.load_matrix))
-        run = run_pipeline(cfg, tmp_path / "once")
-        # align reads the cluster stage's partition and rewrites it; every
-        # later stage shares the one parse of the rewritten files
-        assert sorted(parsed) == ["source_centroids.txt", "source_centroids.txt",
-                                  "source_partition.tsv", "source_partition.tsv",
-                                  "target_assignments.tsv"]
-        source, target = pipeline._load_normalized(run, cfg)
-        pairing = pipeline._load_pairing(run, source, target)
-        assert len(parsed) == 5
-        for kept in (pairing.source_partition.assignments, pairing.source_partition.centroids,
-                     pairing.target_assignments):
-            with pytest.raises(ValueError):
-                kept[0] = 0
-        # an outside rewrite of the same size: only the new modification time tells
-        name = "target_assignments.tsv"
-        swapped = 1 - pairing.target_assignments
-        pipeline.save_assignments(run.path(name), target.words, swapped)
-        st = run.path(name).stat()
-        os.utime(run.path(name), ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
-        assert np.array_equal(pipeline._load_pairing(run, source, target).target_assignments,
-                              swapped)
-        assert parsed[5:] == [name]
-        # a rewrite through the RunDir inside one mtime tick still drops the kept ids
-        st = run.path(name).stat()
-        run.save(name, pipeline.save_assignments, target.words, 1 - swapped)
-        os.utime(run.path(name), ns=(st.st_atime_ns, st.st_mtime_ns))
-        assert np.array_equal(run.load_assignments(name, target.words), 1 - swapped)
-        assert parsed[5:] == [name, name]
 
     @pytest.mark.parametrize("refine_mode", ["global", "single"])
     def test_maps_written_in_process_are_not_parsed(self, tmp_path, synth_dir, map_loads,
@@ -451,8 +402,6 @@ class TestCliCommands:
         ("evaluation", "csls_k", "0"),
         ("evaluation", "vocab_limit", "0"),
         ("evaluation", "kmeans_k", "-1"),
-        ("single_gan", "patience", "-1"),
-        ("multi_gan", "patience", "-1"),
         # stage seeds derive from [run] seed alone
         ("single_gan", "seed", "123"),
         ("multi_gan", "seed", "5"),

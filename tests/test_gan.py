@@ -309,9 +309,10 @@ class TestPatience:
     def test_stops_after_patience_epochs_with_no_new_best(self, small_space, monkeypatch,
                                                           values, patience, best_epoch,
                                                           epochs_run):
-        cfg = replace(SMALL, epochs=6, steps_per_epoch=2, patience=patience)
+        monkeypatch.setattr(gan, "_PATIENCE", patience)
         calls = scripted_criterion(monkeypatch, values)
-        trained = train_single_gan(small_space, small_space, cfg)
+        trained = train_single_gan(small_space, small_space,
+                                   replace(SMALL, epochs=6, steps_per_epoch=2))
         assert (trained.best_epoch, trained.epochs_run) == (best_epoch, epochs_run)
         assert trained.criterion == values[best_epoch]
         assert trained.map is calls[best_epoch]
@@ -320,18 +321,19 @@ class TestPatience:
     def test_zero_patience_runs_every_epoch(self, small_space, monkeypatch):
         values = [0.5, 0.4, 0.45, 0.3, 0.35, 0.2, 0.6]
         for patience, epochs_run, best_epoch in ((0, 6, 6), (2, 2, 0)):
+            monkeypatch.setattr(gan, "_PATIENCE", patience)
             calls = scripted_criterion(monkeypatch, values)
             trained = train_single_gan(small_space, small_space,
-                                       replace(SMALL, epochs=6, steps_per_epoch=2,
-                                               patience=patience))
+                                       replace(SMALL, epochs=6, steps_per_epoch=2))
             assert (trained.epochs_run, trained.best_epoch) == (epochs_run, best_epoch)
             assert len(calls) == 1 + epochs_run
 
     def test_a_tie_is_no_new_best(self, small_space, monkeypatch):
         # epoch 2 only ties epoch 1's best, so epochs 2-4 are three without one
+        monkeypatch.setattr(gan, "_PATIENCE", 3)
         calls = scripted_criterion(monkeypatch, [0.5, 0.6, 0.6, 0.55, 0.58, 0.6, 0.6])
         trained = train_single_gan(small_space, small_space,
-                                   replace(SMALL, epochs=6, steps_per_epoch=2, patience=3))
+                                   replace(SMALL, epochs=6, steps_per_epoch=2))
         assert (trained.best_epoch, trained.epochs_run) == (1, 4)
         assert trained.map is calls[1]
         assert len(calls) == 5
@@ -350,13 +352,16 @@ class TestPatience:
             return criterion(*args)
 
         monkeypatch.setattr(gan, "_criterion", counting_criterion)
-        full = train_single_gan(space, target, replace(cfg, patience=0))
+        patience = gan._PATIENCE
+        monkeypatch.setattr(gan, "_PATIENCE", 0)
+        full = train_single_gan(space, target, cfg)
         assert len(calls) == 1 + full.epochs_run == 9
         calls.clear()
+        monkeypatch.setattr(gan, "_PATIENCE", patience)
         early = train_single_gan(space, target, cfg)
         assert len(calls) == 1 + early.epochs_run
         assert early.epochs_run < full.epochs_run and early.best_epoch == full.best_epoch
-        assert early.epochs_run == early.best_epoch + cfg.patience
+        assert early.epochs_run == early.best_epoch + patience
         assert early.map.w.tobytes() == full.map.w.tobytes()
         assert early.criterion == full.criterion
 
@@ -365,15 +370,14 @@ class TestRandomRestarts:
     def test_single_restart_equals_plain_training(self, small_space):
         target = make_space(small_space.n, small_space.dim, seed=12)
         cfg = replace(SMALL, criterion_vocab=small_space.n)
-        winner, runs = random_restart_train(small_space, target, cfg, restarts=1)
-        a, b = runs[winner], train_single_gan(small_space, target, cfg)
+        a, _ = random_restart_train(small_space, target, cfg, restarts=1)
+        b = train_single_gan(small_space, target, cfg)
         assert np.array_equal(a.map.w, b.map.w) and a.criterion == b.criterion
 
     def test_three_restarts_return_best_criterion(self, small_space):
         target = make_space(small_space.n, small_space.dim, seed=13)
         cfg = replace(SMALL, criterion_vocab=small_space.n)
-        winner, runs = random_restart_train(small_space, target, cfg, restarts=3)
-        best = runs[winner].criterion
+        best = random_restart_train(small_space, target, cfg, restarts=3)[0].criterion
         singles = [train_single_gan(small_space, target,
                                     replace(cfg, seed=cfg.seed + i)).criterion
                    for i in range(3)]
@@ -397,9 +401,9 @@ class TestRandomRestarts:
     def test_deterministic_choice(self, small_space):
         target = make_space(small_space.n, small_space.dim, seed=14)
         cfg = replace(SMALL, criterion_vocab=small_space.n)
-        wa, a = random_restart_train(small_space, target, cfg, restarts=2)
-        wb, b = random_restart_train(small_space, target, cfg, restarts=2)
-        assert np.array_equal(a[wa].map.w, b[wb].map.w)
+        a, _ = random_restart_train(small_space, target, cfg, restarts=2)
+        b, _ = random_restart_train(small_space, target, cfg, restarts=2)
+        assert np.array_equal(a.map.w, b.map.w)
 
     def test_rejects_zero_restarts(self, small_space):
         with pytest.raises(ConfigError):
@@ -424,8 +428,8 @@ class TestDivergence:
             return train(source, target, run_cfg, *args)
 
         monkeypatch.setattr(gan, "train_single_gan", diverge_on_odd_seeds)
-        winner, runs = random_restart_train(small_space, target, cfg, restarts=4)
-        m, crit = runs[winner].map, runs[winner].criterion
+        best_run, _ = random_restart_train(small_space, target, cfg, restarts=4)
+        m, crit = best_run.map, best_run.criterion
         kept = [train(small_space, target, replace(cfg, seed=cfg.seed + i)) for i in (0, 2)]
         best = max(kept, key=lambda r: r.criterion)
         assert np.array_equal(m.w, best.map.w) and crit == best.criterion

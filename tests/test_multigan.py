@@ -291,29 +291,6 @@ class TestTrainMultiGan:
 
 
 class TestPatience:
-    def test_subspace_game_stops_after_patience_epochs_with_no_new_best(
-            self, small_space, monkeypatch):
-        # criteria of the start, then of epochs 1..6: a new best at epoch 1,
-        # a rise at epoch 3 that is no new best, a tie at epoch 4
-        values = [0.5, 0.6, 0.4, 0.5, 0.6, 0.7, 0.8]
-        calls = []
-
-        def criterion(m, source, target, cfg):
-            calls.append(m)
-            return values[len(calls) - 1]
-
-        monkeypatch.setattr(gan, "_criterion", criterion)
-        pairing = tiny_pairing(small_space, pieces=2)
-        cfg = replace(SMALL, epochs=6, steps_per_epoch=2, criterion_vocab=20)
-        for patience, best_epoch, epochs_run in ((3, 1, 4), (0, 6, 6)):
-            calls.clear()
-            trained = train_subspace_gan(1, identity_map(small_space.dim), pairing,
-                                         small_space, small_space,
-                                         replace(cfg, patience=patience), 0.5)
-            assert (trained.best_epoch, trained.epochs_run) == (best_epoch, epochs_run)
-            assert trained.map is calls[best_epoch]
-            assert len(calls) == 1 + epochs_run
-
     def test_early_stop_returns_the_full_schedule_map(self, monkeypatch):
         # a rotated target whose subspace-1 best (epoch 2) comes before the
         # stop, with a rise below the best at epoch 4
@@ -329,14 +306,16 @@ class TestPatience:
             return criterion(*args)
 
         monkeypatch.setattr(gan, "_criterion", counting_criterion)
-        full = train_subspace_gan(1, identity_map(6), pairing, space, target,
-                                  replace(cfg, patience=0), 0.5)
+        patience = gan._PATIENCE
+        monkeypatch.setattr(gan, "_PATIENCE", 0)
+        full = train_subspace_gan(1, identity_map(6), pairing, space, target, cfg, 0.5)
         assert len(calls) == 1 + full.epochs_run == 9
         calls.clear()
+        monkeypatch.setattr(gan, "_PATIENCE", patience)
         early = train_subspace_gan(1, identity_map(6), pairing, space, target, cfg, 0.5)
         assert len(calls) == 1 + early.epochs_run
         assert early.epochs_run < full.epochs_run and early.best_epoch == full.best_epoch
-        assert early.epochs_run == early.best_epoch + cfg.patience
+        assert early.epochs_run == early.best_epoch + patience
         assert early.map.w.tobytes() == full.map.w.tobytes()
         assert early.criterion == full.criterion
 
