@@ -14,7 +14,7 @@ import numpy as np
 
 from .clustering import Partition, merge_clusters
 from .embeddings import EmbeddingSpace
-from .errors import EmptyTargetSubspaceError, ParseError
+from .errors import ParseError
 from .mapping import LinearMap
 from .retrieval import _translate
 
@@ -47,38 +47,24 @@ class SubspacePairing:
         return np.flatnonzero(self.target_assignments == cluster_id)
 
 
-def partition_target(single_map: LinearMap, source_partition: Partition,
-                     source: EmbeddingSpace, target: EmbeddingSpace,
-                     k: int = 10) -> SubspacePairing:
-    """Assign every target word the cluster of its back-translated source word.
-
-    Raises EmptyTargetSubspaceError when some cluster receives no target
-    words; callers either merge those clusters away or abort.
-    """
-    _, translations = _translate(single_map.apply_target_back, target,
-                                 np.arange(target.n), source, k)
-    assignments = source_partition.assignments[translations]
-    empty = np.setdiff1d(np.arange(source_partition.c), np.unique(assignments))
-    if empty.size:
-        raise EmptyTargetSubspaceError(empty)
-    return SubspacePairing(source_partition, assignments)
-
-
 def partition_target_with_merge(single_map: LinearMap, source_partition: Partition,
                                 source: EmbeddingSpace, target: EmbeddingSpace,
                                 k: int = 10) -> tuple[SubspacePairing, list[int]]:
-    """As partition_target, but folds clusters the target side left empty
-    into their nearest source cluster (by centroid) and retries.
+    """Assign every target word the cluster of its back-translated source
+    word, folding clusters the target side leaves empty into their nearest
+    source cluster (by centroid) until none is empty.
 
-    Returns the pairing and the list of merged-away original cluster ids.
+    The translations do not depend on the partition, so they are computed
+    once.  Returns the pairing and the list of merged-away cluster ids.
     """
+    _, translations = _translate(single_map.apply_target_back, target,
+                                 np.arange(target.n), source, k)
     partition = source_partition
     merged: list[int] = []
     while True:
-        try:
-            return partition_target(single_map, partition, source, target, k), merged
-        except EmptyTargetSubspaceError as e:
-            if partition.c <= 1:
-                raise
-            merged.extend(e.empty_ids)
-            partition = merge_clusters(partition, source.vectors, e.empty_ids)
+        assignments = partition.assignments[translations]
+        empty = np.setdiff1d(np.arange(partition.c), assignments).tolist()
+        if not empty:
+            return SubspacePairing(partition, assignments), merged
+        merged.extend(empty)
+        partition = merge_clusters(partition, source.vectors, empty)

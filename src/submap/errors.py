@@ -41,13 +41,5 @@ class TrainingFailedError(SubmapError):
     """Every adversarial training restart diverged."""
 
 
-class EmptyTargetSubspaceError(SubmapError):
-    """One or more source clusters received no target words."""
-
-    def __init__(self, empty_ids):
-        self.empty_ids = sorted(int(i) for i in empty_ids)
-        super().__init__(f"clusters with no target words: {self.empty_ids}")
-
-
 class EmptyEvaluationError(SubmapError):
     """No gold dictionary entry was evaluable against the given spaces."""

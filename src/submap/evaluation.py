@@ -68,13 +68,15 @@ def _hits(forward: MapFn, gold: dict[str, set[str]], source: EmbeddingSpace,
 
 
 def evaluate_bli(forward: MapFn, gold: dict[str, set[str]], source: EmbeddingSpace,
-                 target: EmbeddingSpace, k: int = 10) -> BliReport:
+                 target: EmbeddingSpace, k: int = 10,
+                 max_rank: int | None = None) -> BliReport:
     """P@1 of CSLS retrieval against a gold multimap.
 
-    Out-of-vocabulary entries are excluded and reported as coverage
+    Out-of-vocabulary entries, and with `max_rank` entries whose source
+    word ranks at or past it, are excluded and reported as coverage
     rather than counted wrong.
     """
-    queries, hits, skipped = _hits(forward, gold, source, target, k)
+    queries, hits, skipped = _hits(forward, gold, source, target, k, max_rank)
     return BliReport(p_at_1=float(hits.mean()), evaluated=len(queries), skipped_oov=skipped)
 
 

@@ -104,21 +104,6 @@ def _forward(net: MlpDiscriminator, batch: np.ndarray, mask: np.ndarray | None):
     return x, z1, a1, z2
 
 
-def mlp_forward(net: MlpDiscriminator, batch: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-    """Probabilities that each row came from the target distribution."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != net.input_dim:
-        raise ShapeError(f"batch shape {batch.shape} does not match input dim {net.input_dim}")
-    mask = None
-    if train_mode and net.input_dropout > 0.0:
-        if rng is None:
-            raise ShapeError("train_mode with dropout requires an rng")
-        mask = _dropout_mask(batch.shape, net.input_dropout, rng)
-    _, _, _, z2 = _forward(net, batch, mask)
-    return _sigmoid(z2)
-
-
 def bce_loss_from_logits(z: np.ndarray, targets: np.ndarray) -> float:
     """Mean binary cross-entropy, computed stably in logit space."""
     return float(np.mean(_softplus(z) - targets * z))

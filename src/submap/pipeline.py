@@ -30,7 +30,7 @@ from .clustering import (Partition, finch_hierarchy, kmeans, load_assignments,
 from .config import PipelineConfig, config_digest, derive_seed
 from .embeddings import (EmbeddingSpace, iterative_normalize, load_embeddings,
                          save_embeddings, unit_rows)
-from .errors import ConfigError, EmptyDictionaryError
+from .errors import ConfigError, EmptyDictionaryError, SubmapError
 from .evaluation import (evaluate_bli, format_report, per_subspace_accuracy,
                          per_subspace_table, report_to_json)
 from .gan import Trained, random_restart_train
@@ -271,15 +271,17 @@ def stage_refine(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     logs: dict = {}  # log file name -> refinement steps
     if cfg.refine_mode == "single":
         single = run.load_map("single_map.txt")
-        refined, log = refine_linear(single, source, target, refine_cfg)
+        refined, objective, log = refine_linear(single, source, target, refine_cfg)
         logs["refine_log.tsv"] = log
+        metrics["objective"] = objective
         kind, maps = "single", [refined]
-        meta = {"objective": log[-1].objective if log else None}
+        meta = {"objective": objective}
     else:
         pm = _load_mapset(run, "multi", source, target)
         if cfg.refine_mode == "global":
-            pm, log = global_refine(pm, source, target, refine_cfg)
+            pm, objective, log = global_refine(pm, source, target, refine_cfg)
             logs["refine_log.tsv"] = log
+            metrics["objective"] = objective
         elif cfg.refine_mode == "local":
             pm, by_cluster = local_refine(pm, source, target, refine_cfg)
             for cid, log in sorted(by_cluster.items()):
@@ -289,8 +291,6 @@ def stage_refine(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
         meta = {"lambdas": list(pm.lambdas)}
     for name, log in logs.items():
         _write_refine_log(run.path(name), log)
-    if "refine_log.tsv" in logs:
-        metrics["objective"] = max(s.objective for s in logs["refine_log.tsv"])
     artifacts = _save_mapset(run, "final", kind, maps, meta)
     return {"artifacts": artifacts + list(logs), "metrics": metrics}
 
@@ -326,7 +326,8 @@ def stage_eval(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
                                                 encoding="utf-8")
         artifacts.append("per_subspace.tsv")
     else:
-        report = evaluate_bli(fwd, gold, source, target, k=cfg.evaluation.csls_k)
+        report = evaluate_bli(fwd, gold, source, target, k=cfg.evaluation.csls_k,
+                              max_rank=cfg.evaluation.vocab_limit)
     run.path("report.json").write_text(report_to_json(report), encoding="utf-8")
     run.path("report.txt").write_text(format_report(report), encoding="utf-8")
     artifacts.extend(["report.json", "report.txt"])
@@ -376,8 +377,10 @@ def _stage_complete(run: RunDir, name: str) -> bool:
 
 
 def run_pipeline(cfg: PipelineConfig, out: str | Path, resume: bool = False) -> RunDir:
-    """Run all configured stages in order, restarting from the single map
-    with fresh stage seeds when dictionary induction comes up empty."""
+    """Run all configured stages in order.  On EmptyDictionaryError every
+    stage reruns, `normalize` included, with fresh stage seeds, at most
+    `restart_budget` times; any other typed failure, or one past the
+    budget, is recorded in the manifest and re-raised."""
     run = RunDir(out)
     run.update_manifest(config_hash=config_digest(cfg), master_seed=cfg.seed,
                         stage_order=list(stages_for(cfg)))
@@ -391,8 +394,8 @@ def run_pipeline(cfg: PipelineConfig, out: str | Path, resume: bool = False) -> 
                 run_stage(run, cfg, name, attempt=attempt)
             run.update_manifest(attempt=attempt)
             return run
-        except EmptyDictionaryError as e:
-            if attempt >= cfg.restart_budget:
+        except SubmapError as e:
+            if not isinstance(e, EmptyDictionaryError) or attempt >= cfg.restart_budget:
                 run.record_failure(name, e)
                 raise
             attempt += 1

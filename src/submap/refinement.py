@@ -70,12 +70,13 @@ def _pair_objective(m: LinearMap, src_vectors, tgt_vectors,
 
 
 def refine_linear(initial: LinearMap, source: EmbeddingSpace, target: EmbeddingSpace,
-                  cfg: RefineConfig) -> tuple[LinearMap, list[RefineStep]]:
+                  cfg: RefineConfig) -> tuple[LinearMap, float, list[RefineStep]]:
     """Iterated induce-and-Procrustes from an initial map.
 
-    Returns the best-objective map and the step log.  The first
-    induction uses `initial`; later rounds propose from the best
-    Procrustes solution so far, once there is one.
+    Returns the best-objective map, its objective and the step log; a
+    map fit to fewer than d pairs is returned only when no round reached
+    d pairs.  The first induction uses `initial`; later rounds propose
+    from the best Procrustes solution so far, once there is one.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -117,19 +118,20 @@ def refine_linear(initial: LinearMap, source: EmbeddingSpace, target: EmbeddingS
             keep_prob = min(1.0, keep_prob * cfg.multiplier)
     if best_map is None:
         assert fallback is not None
-        best_map = fallback[1]
-    return best_map, log
+        best_objective, best_map = fallback
+    return best_map, best_objective, log
 
 
 def global_refine(pm: PiecewiseMap, source: EmbeddingSpace, target: EmbeddingSpace,
-                  cfg: RefineConfig) -> tuple[PiecewiseMap, list[RefineStep]]:
+                  cfg: RefineConfig) -> tuple[PiecewiseMap, float, list[RefineStep]]:
     """Refine one linear map between the piecewise-transformed source
     space and the target space, then compose it onto every subspace map
-    (the combination stays piecewise linear)."""
+    (the combination stays piecewise linear).  Returns the composed map,
+    the refined linear map's objective and the step log."""
     transformed = EmbeddingSpace(source.words,
                                  unit_rows(pm.transformed_source(source.vectors)))
-    w_g, log = refine_linear(identity_map(source.dim), transformed, target, cfg)
-    return pm.compose_global(w_g), log
+    w_g, objective, log = refine_linear(identity_map(source.dim), transformed, target, cfg)
+    return pm.compose_global(w_g), objective, log
 
 
 def local_refine(pm: PiecewiseMap, source: EmbeddingSpace, target: EmbeddingSpace,
@@ -153,8 +155,8 @@ def local_refine(pm: PiecewiseMap, source: EmbeddingSpace, target: EmbeddingSpac
         sub_target = EmbeddingSpace(tuple(target.words[i] for i in tgt_rows),
                                     target.vectors[tgt_rows])
         try:
-            refined, log = refine_linear(pm.maps[cid], sub_source, sub_target,
-                                         replace(cfg, seed=cfg.seed + cid))
+            refined, _, log = refine_linear(pm.maps[cid], sub_source, sub_target,
+                                            replace(cfg, seed=cfg.seed + cid))
         except EmptyDictionaryError:
             continue
         new_maps[cid] = refined

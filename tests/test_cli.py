@@ -1,15 +1,17 @@
 import configparser
 import json
 import os
+import re
+import shlex
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from submap.cli import _STAGE_COMMANDS, main
+from submap.cli import _STAGE_COMMANDS, build_parser, main
 from submap.config import PipelineConfig, config_digest, derive_seed, load_config
-from submap.errors import ConfigError
+from submap.errors import ConfigError, EmptyDictionaryError, TrainingFailedError
 from submap import gan, pipeline
 from submap.pipeline import RunDir, run_pipeline, run_stage, stages_for
 from submap.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
@@ -297,6 +299,33 @@ class TestPipeline:
         assert meta["kind"] == "single"
         assert "p_at_1" in stages["eval"]["metrics"]
 
+    def test_single_refinement_reports_the_returned_maps_objective(self, tmp_path, synth_dir):
+        cfg_path = set_value(write_config(tmp_path, synth_dir, refine_mode="single"),
+                             "refinement", "max_iters", "2")
+        out = tmp_path / "single"
+        stages = run_pipeline(load_config(cfg_path), out).read_manifest()["stages"]
+        objective = stages["refine"]["metrics"]["objective"]
+        meta = json.loads((out / "final" / "meta.json").read_text(encoding="utf-8"))
+        rows = [line.split("\t")[2:] for line in
+                (out / "refine_log.tsv").read_text(encoding="utf-8").splitlines()[1:]]
+        # round 2 induced fewer than d = 6 pairs, which an orthogonal map fits
+        # exactly, so its higher objective may not claim the snapshot
+        (first, first_pairs), (last, last_pairs) = rows
+        assert int(first_pairs) >= 6 > int(last_pairs) and float(last) > float(first)
+        assert meta["objective"] == objective
+        assert f"{objective:.12g}" == first
+
+    def test_baseline_and_pipeline_score_the_same_window(self, tmp_path, synth_dir):
+        # 120 gold entries against an evaluation window of 50 source words
+        evaluated = {}
+        for mode in ("global", "single"):
+            cfg_path = set_value(write_config(tmp_path, synth_dir, refine_mode=mode),
+                                 "evaluation", "vocab_limit", "50")
+            stages = run_pipeline(load_config(cfg_path), tmp_path / mode).read_manifest()["stages"]
+            metrics = stages["eval"]["metrics"]
+            evaluated[mode] = (metrics["evaluated"], metrics["skipped_oov"])
+        assert evaluated["global"] == evaluated["single"] == (50, 70)
+
     @pytest.mark.parametrize("mode", ["none", "local"])
     def test_piecewise_refine_modes(self, tmp_path, synth_dir, mode):
         cfg = load_config(write_config(tmp_path, synth_dir, refine_mode=mode))
@@ -337,6 +366,46 @@ class TestPipeline:
         run_pipeline(cfg, out, resume=True)
         assert marker.stat().st_mtime_ns == stamp  # stage not rerun
         assert manifest_without_timings(out / "manifest.json") == before
+
+
+class TestRetry:
+    def test_empty_dictionary_reruns_every_stage_with_fresh_seeds(self, tmp_path, synth_dir,
+                                                                  monkeypatch):
+        induce = pipeline.STAGES["induce_dict"]
+        calls = []
+
+        def empty_once(run, cfg, seed):
+            calls.append(seed)
+            if len(calls) == 1:
+                raise EmptyDictionaryError("forced")
+            return induce(run, cfg, seed)
+
+        monkeypatch.setitem(pipeline.STAGES, "induce_dict", empty_once)
+        cfg = load_config(write_config(tmp_path, synth_dir, refine_mode="single"))
+        manifest = run_pipeline(cfg, tmp_path / "retry").read_manifest()
+        assert manifest["attempt"] == 1 and "failure_stage" not in manifest
+        assert calls == [derive_seed(cfg.seed, "induce_dict", str(a)) for a in (0, 1)]
+        assert sorted(manifest["stages"]) == sorted(stages_for(cfg))
+        for name, stage in manifest["stages"].items():
+            assert stage["seed"] == derive_seed(cfg.seed, name, "1")
+            assert stage["seed"] != derive_seed(cfg.seed, name, "0")
+
+    @pytest.mark.parametrize("stage, error", [("induce_dict", EmptyDictionaryError),
+                                              ("single_gan", TrainingFailedError)])
+    def test_failure_without_retry_is_recorded(self, tmp_path, synth_dir, monkeypatch,
+                                               stage, error):
+        def failing(run, cfg, seed):
+            raise error("forced")
+
+        monkeypatch.setitem(pipeline.STAGES, stage, failing)
+        cfg_path = set_value(write_config(tmp_path, synth_dir, refine_mode="single"),
+                             "run", "restart_budget", "0")
+        out = tmp_path / "failed"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["failure_stage"] == stage
+        assert manifest["failure"] == f"{error.__name__}: forced"
+        assert "attempt" not in manifest
 
 
 class TestCliCommands:
@@ -454,3 +523,28 @@ class TestCliCommands:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["master_seed"] == 99
         assert set(manifest["stages"]) == {"normalize", "single_gan"}
+
+
+class TestReadmeRecipes:
+    """README's code blocks are the experiment recipes, so they must run."""
+
+    BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```",
+                        (Path(__file__).resolve().parent.parent / "README.md")
+                        .read_text(encoding="utf-8"), re.M | re.S)
+
+    def test_every_ini_block_loads(self, tmp_path):
+        blocks = [body for lang, body in self.BLOCKS if lang == "ini"]
+        assert len(blocks) >= 3
+        for i, body in enumerate(blocks):
+            path = tmp_path / f"block{i}.ini"
+            path.write_text(body, encoding="utf-8")
+            load_config(path)
+
+    def test_every_command_line_parses(self):
+        commands = [shlex.split(line, comments=True)
+                    for _, body in self.BLOCKS
+                    for line in body.replace("\\\n", " ").splitlines()
+                    if line.startswith("submap ")]
+        assert len(commands) >= 7
+        for argv in commands:
+            build_parser().parse_args(argv[1:])

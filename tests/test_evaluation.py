@@ -148,6 +148,10 @@ class TestPerSubspaceAccuracy:
                                        vocab_limit=10, k=5)
         assert report.evaluated == 10
         assert report.skipped_oov == space.n - 10
+        whole = evaluate_bli(identity_map(space.dim).apply_source, identity_gold(space),
+                             space, space, k=5, max_rank=10)
+        assert (whole.p_at_1, whole.evaluated, whole.skipped_oov) == \
+            (report.p_at_1, report.evaluated, report.skipped_oov)
 
     def test_empty_group_gets_null_accuracy(self):
         space, part = self.uniform_setup(pieces=2)

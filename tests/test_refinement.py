@@ -93,7 +93,7 @@ class TestStochasticRefine:
         space = make_space(80, 6, seed=4)
         cfg = replace(CFG, vocab_limit=80)
         ident = identity_map(6)
-        best, log = refine_linear(ident, space, space, cfg)
+        best, _, log = refine_linear(ident, space, space, cfg)
         assert max(s.objective for s in log) >= 0.999
         improving = [s for i, s in enumerate(log)
                      if s.objective > max([-np.inf] + [t.objective for t in log[:i]])]
@@ -103,8 +103,8 @@ class TestStochasticRefine:
         source = make_space(40, 5, seed=5)
         target = make_space(40, 5, seed=6)
         cfg = replace(CFG, p0=1.0, vocab_limit=40)
-        a, log_a = refine_linear(identity_map(5), source, target, cfg)
-        b, log_b = refine_linear(identity_map(5), source, target, cfg)
+        a, _, log_a = refine_linear(identity_map(5), source, target, cfg)
+        b, _, log_b = refine_linear(identity_map(5), source, target, cfg)
         assert np.array_equal(a.w, b.w)
         assert [s.objective for s in log_a] == [s.objective for s in log_b]
 
@@ -122,25 +122,39 @@ class TestStochasticRefine:
             hits = (mapped @ target.vectors.T).argmax(axis=1) == np.arange(150)
             return float(hits.mean())
 
-        refined, _ = refine_linear(start, inst.source, target,
-                                   replace(CFG, vocab_limit=150))
+        refined, _, _ = refine_linear(start, inst.source, target,
+                                      replace(CFG, vocab_limit=150))
         assert p1(refined) >= p1(start)
 
     def test_best_objective_is_non_decreasing_snapshot(self):
         source = make_space(60, 5, seed=7)
         target = make_space(60, 5, seed=8)
-        _, log = refine_linear(identity_map(5), source, target,
-                               replace(CFG, vocab_limit=60))
+        _, _, log = refine_linear(identity_map(5), source, target,
+                                  replace(CFG, vocab_limit=60))
         best = -np.inf
         for step in log:
             best = max(best, step.objective)
         assert best == max(s.objective for s in log)
 
+    def test_returns_the_objective_of_its_map(self):
+        source = make_space(60, 5, seed=7)
+        target = make_space(60, 5, seed=8)
+        _, objective, log = refine_linear(identity_map(5), source, target,
+                                          replace(CFG, vocab_limit=60))
+        # rows below d pairs are fit exactly and may not claim the snapshot
+        assert objective == max(s.objective for s in log if s.pairs >= 5)
+        # ... unless no row reaches d pairs
+        tiny = make_space(4, 6, seed=3)
+        _, objective, log = refine_linear(identity_map(6), tiny, tiny,
+                                          replace(CFG, vocab_limit=4))
+        assert all(s.pairs < 6 for s in log)
+        assert objective == max(s.objective for s in log)
+
     def test_keep_prob_schedule_doubles_and_caps(self):
         source = make_space(30, 4, seed=9)
         target = make_space(30, 4, seed=10)
-        _, log = refine_linear(identity_map(4), source, target,
-                               replace(CFG, vocab_limit=30, max_iters=30))
+        _, _, log = refine_linear(identity_map(4), source, target,
+                                  replace(CFG, vocab_limit=30, max_iters=30))
         probs = [s.keep_prob for s in log]
         assert probs[0] == CFG.p0
         assert all(b == a or b == min(1.0, a * 2.0) for a, b in zip(probs, probs[1:]))
@@ -157,7 +171,7 @@ class TestGlobalRefine:
     def test_identity_piecewise_on_identical_spaces(self):
         space = make_space(100, 6, seed=11)
         pm = one_piece_map(identity_map(6), space)
-        refined, _ = global_refine(pm, space, space, replace(CFG, vocab_limit=100))
+        refined, _, _ = global_refine(pm, space, space, replace(CFG, vocab_limit=100))
         assert np.max(np.abs(refined.maps[0].w - np.eye(6))) < 1e-3
 
     def test_single_subspace_matches_direct_refinement(self):
@@ -168,8 +182,8 @@ class TestGlobalRefine:
         start = LinearMap(in_plane_rotation(q, 0.2, 6, seed=3))
         cfg = replace(CFG, p0=1.0, vocab_limit=120)
         pm = one_piece_map(start, inst.source)
-        via_global, _ = global_refine(pm, inst.source, target, cfg)
-        direct, _ = refine_linear(start, inst.source, target, cfg)
+        via_global, _, _ = global_refine(pm, inst.source, target, cfg)
+        direct, _, _ = refine_linear(start, inst.source, target, cfg)
         assert np.max(np.abs(via_global.maps[0].w - direct.w)) < 1e-8
 
     def test_composed_maps_stay_near_orthogonal(self):
@@ -179,8 +193,8 @@ class TestGlobalRefine:
             inst.labels.copy())
         maps = tuple(LinearMap(q) for q in inst.true_maps)
         pm = PiecewiseMap(pairing, maps, (0.5, 0.5))
-        refined, _ = global_refine(pm, inst.source, inst.target,
-                                   replace(CFG, vocab_limit=120))
+        refined, _, _ = global_refine(pm, inst.source, inst.target,
+                                      replace(CFG, vocab_limit=120))
         for m in refined.maps:
             assert m.orthogonality_defect() < 0.05
 
