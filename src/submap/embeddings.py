@@ -198,13 +198,15 @@ def save_embeddings(path, space: EmbeddingSpace) -> None:
 
 
 def unit_rows(vectors: np.ndarray, words=None) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; zero rows are an error."""
+    """Scale each row to unit Euclidean norm; a row whose norm is zero or
+    not finite (a nan or inf field) is an error."""
     norms = np.linalg.norm(vectors, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
+    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
     if bad.size:
         i = int(bad[0])
         name = words[i] if words is not None else f"row {i}"
-        raise DegenerateVectorError(f"zero vector for {name}")
+        kind = "zero vector" if norms[i] == 0.0 else "non-finite norm"
+        raise DegenerateVectorError(f"{kind} for {name}")
     return vectors / norms[:, None]
 
 

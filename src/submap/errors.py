@@ -18,7 +18,7 @@ class EmptySpaceError(SubmapError):
 
 
 class DegenerateVectorError(SubmapError):
-    """A zero vector was encountered where a direction is required."""
+    """A zero or non-finite vector was encountered where a direction is required."""
 
 
 class NumericError(SubmapError):

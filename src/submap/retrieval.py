@@ -19,8 +19,10 @@ from .embeddings import EmbeddingSpace, unit_rows
 from .errors import ConfigError, EmptyDictionaryError, ParseError
 from .mapping import MapFn
 
-# cap on elements per similarity block, keeps memory bounded on big vocabularies
-_BLOCK_ELEMENTS = 2 ** 24
+# cap on float32 similarities per block (32 MB), keeps memory bounded on big
+# vocabularies: a block holds 2097 queries against 4000 targets, so on a
+# 4000-word target only a call with more queries than that splits
+_BLOCK_ELEMENTS = 2 ** 23
 # rows (or columns) per slice of a block that the top-k and scoring passes
 # work on: each pass reworks a few MB that stay in cache, not the whole block
 _SLICE = 64
@@ -88,7 +90,7 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
     keep_prob < 1 each score survives with that probability and dropped
     scores count as -inf (stochastic dictionary induction).
 
-    Query rows go in blocks of at most 2**24 similarities (64 MB), each
+    Query rows go in blocks of at most 2**23 similarities (32 MB), each
     the float32 product of its rows with every target in one BLAS call,
     written into one reused buffer; both sides are cast to float32 once
     per call.  The first pass takes r_t from each block's rows

@@ -55,10 +55,10 @@ def generate_instance(clusters: int, per_cluster: int, d: int, separation: float
                       noise_sigma: float, seed: int) -> SyntheticInstance:
     if clusters < 1 or per_cluster < 1:
         raise ConfigError("clusters and per_cluster must be positive")
-    if separation <= 0:
-        raise ConfigError(f"separation must be positive, got {separation}")
-    if noise_sigma < 0:
-        raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 < separation < np.inf:
+        raise ConfigError(f"separation must be positive and finite, got {separation}")
+    if not 0 <= noise_sigma < np.inf:
+        raise ConfigError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     centers = unit_rows(rng.normal(size=(clusters, d))) * separation
     rotations = _distinct_rotations(clusters, d, rng)

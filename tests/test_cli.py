@@ -508,6 +508,30 @@ class TestCliCommands:
         rc = main(["pipeline", "--config", str(broken), "--out", str(tmp_path / "y")])
         assert rc == 1
 
+    def test_non_finite_embedding_fails_at_normalize(self, tmp_path, synth_dir):
+        lines = (synth_dir / "source.vec").read_text(encoding="utf-8").splitlines()
+        word, *fields = lines[5].split(" ")
+        lines[5] = " ".join([word, "nan", *fields[1:]])
+        (tmp_path / "source.vec").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg_path = write_config(tmp_path, synth_dir)
+        text = cfg_path.read_text(encoding="utf-8")
+        cfg_path.write_text(text.replace(str(synth_dir / "source.vec"),
+                                         str(tmp_path / "source.vec")), encoding="utf-8")
+        out = tmp_path / "nan"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["failure_stage"] == "normalize"
+        assert manifest["failure"] == f"DegenerateVectorError: non-finite norm for {word}"
+
+    @pytest.mark.parametrize("flag, value", [("--separation", "inf"),
+                                             ("--noise-sigma", "nan")])
+    def test_synth_gen_rejects_non_finite_parameters(self, tmp_path, flag, value):
+        out = tmp_path / "synth"
+        rc = main(["synth-gen", "--out", str(out), "--clusters", "2", "--per-cluster", "5",
+                   "--dim", "3", flag, value])
+        assert rc == 2
+        assert not (out / "source.vec").exists()
+
     def test_stage_not_in_configuration_rejected(self, tmp_path, synth_dir):
         cfg_path = write_config(tmp_path, synth_dir, refine_mode="single")
         rc = main(["train-multi", "--config", str(cfg_path),

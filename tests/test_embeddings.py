@@ -219,6 +219,19 @@ def test_iterative_normalize_zero_vector_names_token():
         iterative_normalize(space, iterations=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_unit_rows_non_finite_row_names_token(bad):
+    vecs = np.array([[1.0, 0.0], [bad, 2.0], [0.0, 1.0]])
+    with pytest.raises(DegenerateVectorError, match="non-finite norm for odd"):
+        unit_rows(vecs, ("a", "odd", "c"))
+
+
+def test_unit_rows_keeps_the_bits_of_finite_rows():
+    vecs = np.random.default_rng(2).normal(size=(50, 7))
+    norms = np.linalg.norm(vecs, axis=1)
+    assert np.array_equal(unit_rows(vecs), vecs / norms[:, None])
+
+
 def test_iterative_normalize_needs_two_rows():
     space = EmbeddingSpace(("a",), np.array([[1.0, 0.0]]))
     with pytest.raises(TooFewSamplesError):

@@ -205,19 +205,23 @@ class TestTiledColumnTopk:
 
 @pytest.mark.parametrize("keep_prob", [1.0, 0.9])
 def test_csls_peak_memory_is_one_block(keep_prob):
-    # 2000 x 4000 fits one float32 block; beyond it and the float32 copies
-    # of both sides, the passes may add one float64 score slice and small
-    # buffers, not copies of the block
+    # the paper shape's calls: 2000 x 4000 (criterion, induction,
+    # evaluation) fits one float32 block, and 4000 x 4000 (align's
+    # back-translation) goes in blocks of at most 2**23 float32 (32 MB).
+    # Beyond one block and the float32 copies of both sides, the passes may
+    # add one float64 score slice and small buffers, not copies of the block
     g = np.random.default_rng(0)
-    queries = unit_rows(g.normal(size=(2000, 300)))
     targets = unit_rows(g.normal(size=(4000, 300)))
-    tracemalloc.start()
-    try:
-        csls_translate(queries, targets, 10, keep_prob, np.random.default_rng(1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * (2000 * 4000 * 4 + (2000 + 4000) * 300 * 4 + retrieval._SLICE * 4000 * 8)
+    for n_q in (2000, 4000):
+        queries = unit_rows(g.normal(size=(n_q, 300)))
+        tracemalloc.start()
+        try:
+            csls_translate(queries, targets, 10, keep_prob, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = min(n_q * 4000, 2 ** 23) * 4
+        assert peak <= 1.1 * (block + (n_q + 4000) * 300 * 4 + retrieval._SLICE * 4000 * 8), n_q
 
 
 @pytest.mark.parametrize("n_q, n_t, d, rows", [
