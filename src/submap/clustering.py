@@ -82,11 +82,15 @@ def cluster_centroids(vectors: np.ndarray, assignments: np.ndarray) -> np.ndarra
 
 
 def first_neighbors(vectors: np.ndarray) -> np.ndarray:
-    """Index of each row's nearest other row by cosine, lowest index on ties.
+    """Index of each row's nearest other row by cosine.
 
     Similarities are float64 products of 64 rows at a time with every
     row, written into one reused [64, n] slice buffer, so memory never
-    holds an n x n block.
+    holds an n x n block.  Of equal computed similarities the lowest
+    index wins.  Exact-duplicate rows need not compute equal ones: BLAS
+    can round one dot product differently by the column's place in its
+    kernel (a 4.8e-15 gap between two copies at 300 rows, d = 300), so
+    which copy is a row's neighbour can depend on the product's shape.
     """
     x = np.asarray(vectors, dtype=np.float64)
     n = x.shape[0]

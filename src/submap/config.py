@@ -54,33 +54,27 @@ class PipelineConfig:
     refine_mode: str = "global"  # none | global | local | single
     stop_after: str = ""         # empty = run everything
     data: DataConfig = field(default_factory=DataConfig)
+    # both adversarial stages, the single map's and the subspace games
     single_gan: GanConfig = field(default_factory=GanConfig)
-    multi_gan_overrides: GanConfig | None = None
     multi: MultiGanConfig = field(default_factory=MultiGanConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     refine: RefineConfig = field(default_factory=RefineConfig)
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
-    @property
-    def multi_gan(self) -> GanConfig:
-        return self.multi_gan_overrides if self.multi_gan_overrides is not None \
-            else self.single_gan
 
-
-# INI section -> the PipelineConfig field it overrides, applied in this
-# order so that [multi_gan] starts from the resolved [single_gan]
+# INI section -> the PipelineConfig field it overrides
 _SECTIONS = {
     "run": None,
     "data": "data",
     "single_gan": "single_gan",
-    "multi_gan": "multi_gan_overrides",
     "clustering": "cluster",
     "multi": "multi",
     "refinement": "refine",
     "evaluation": "evaluation",
 }
+# stop_after is set by `pipeline --stage`, not by a config file
 _RUN_KEYS = {"seed": int, "restart_budget": int, "single_restarts": int,
-             "refine_mode": str, "stop_after": str}
+             "refine_mode": str}
 
 
 def _coerce(value: str, to_type):
@@ -126,7 +120,7 @@ def load_config(path) -> PipelineConfig:
         if name is None:
             cfg = replace(cfg, **_parse_section(sections, section, _RUN_KEYS))
             continue
-        base = cfg.multi_gan if section == "multi_gan" else getattr(cfg, name)
+        base = getattr(cfg, name)
         # stage seeds derive from [run] seed alone, so no section sets one
         types = {f.name: type(getattr(base, f.name)) for f in fields(base) if f.name != "seed"}
         cfg = replace(cfg, **{name: replace(base, **_parse_section(sections, section, types))})
@@ -158,13 +152,14 @@ def validate_config(cfg: PipelineConfig) -> None:
     if level not in ("last", "second_to_last") and not level.isdecimal():
         raise ConfigError(f"clustering.level must be last|second_to_last|<index>, got {level!r}")
     cfg.single_gan.validate()
-    cfg.multi_gan.validate()
     cfg.refine.validate()
 
 
 def config_digest(cfg: PipelineConfig) -> str:
-    """Stable hash of the fully resolved configuration."""
-    return hashlib.sha256(repr(cfg).encode("utf-8")).hexdigest()[:16]
+    """Stable hash of the fully resolved configuration.  `stop_after` is
+    left out: where a run stops does not change what its stages compute,
+    so a run stopped early resumes under the same digest."""
+    return hashlib.sha256(repr(replace(cfg, stop_after="")).encode("utf-8")).hexdigest()[:16]
 
 
 def derive_seed(master: int, *labels: str) -> int:

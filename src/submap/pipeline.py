@@ -20,6 +20,7 @@ which parses from disk.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +31,7 @@ from .clustering import (Partition, finch_hierarchy, kmeans, load_assignments,
 from .config import PipelineConfig, config_digest, derive_seed
 from .embeddings import (EmbeddingSpace, iterative_normalize, load_embeddings,
                          save_embeddings, unit_rows)
-from .errors import ConfigError, EmptyDictionaryError, SubmapError
+from .errors import ConfigError, EmptyDictionaryError, ParseError, SubmapError
 from .evaluation import (evaluate_bli, format_report, per_subspace_accuracy,
                          per_subspace_table, report_to_json)
 from .gan import Trained, random_restart_train
@@ -40,6 +41,14 @@ from .multigan import train_multi_gan
 from .refinement import global_refine, local_refine, refine_linear
 from .retrieval import (gold_multimap, induce_seed_dictionary, load_dictionary_tokens,
                         save_dictionary)
+
+
+def _read_json(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ParseError(f"{path}: not a JSON document ({e})") from None
+
 
 class RunDir:
     """Artifact paths, the manifest, and the spaces and maps kept parsed,
@@ -88,12 +97,15 @@ class RunDir:
     def read_manifest(self) -> dict:
         p = self.manifest_path()
         if p.exists():
-            return json.loads(p.read_text(encoding="utf-8"))
+            return _read_json(p)
         return {"stages": {}, "timings": {}}
 
     def _write_manifest(self, doc: dict) -> None:
-        self.manifest_path().write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        # a whole new file or none: an interrupted write never leaves half
+        # a manifest for --resume to read
+        tmp = self.root / "manifest.json.tmp"
+        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(tmp, self.manifest_path())
 
     def update_manifest(self, **top_level) -> None:
         doc = self.read_manifest()
@@ -159,7 +171,7 @@ def _load_mapset(run: RunDir, subdir: str, source: EmbeddingSpace,
                  target: EmbeddingSpace) -> LinearMap | PiecewiseMap:
     """The map `_save_mapset` wrote: a LinearMap for kind "single", else a
     PiecewiseMap over the run's subspace pairing."""
-    meta = json.loads(run.path(f"{subdir}/meta.json").read_text(encoding="utf-8"))
+    meta = _read_json(run.path(f"{subdir}/meta.json"))
     maps = [run.load_map(f"{subdir}/map_{i:03d}.txt") for i in range(meta["count"])]
     if meta["kind"] == "single":
         return maps[0]
@@ -247,7 +259,7 @@ def stage_multi_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     source, target = _load_normalized(run, cfg)
     single = run.load_map("single_map.txt")
     pairing = _load_pairing(run, source, target)
-    gan_cfg = replace(cfg.multi_gan, seed=seed)
+    gan_cfg = replace(cfg.single_gan, seed=seed)
     lambda_fixed = cfg.multi.lambda_fixed if cfg.multi.lambda_mode == "fixed" else None
     pm, subspaces = train_multi_gan(single, pairing, source, target, gan_cfg,
                                     lambda_fixed=lambda_fixed)
@@ -380,9 +392,16 @@ def run_pipeline(cfg: PipelineConfig, out: str | Path, resume: bool = False) -> 
     """Run all configured stages in order.  On EmptyDictionaryError every
     stage reruns, `normalize` included, with fresh stage seeds, at most
     `restart_budget` times; any other typed failure, or one past the
-    budget, is recorded in the manifest and re-raised."""
+    budget, is recorded in the manifest and re-raised.  `resume` refuses,
+    before writing anything, a run directory whose manifest records
+    another config's hash."""
     run = RunDir(out)
-    run.update_manifest(config_hash=config_digest(cfg), master_seed=cfg.seed,
+    digest = config_digest(cfg)
+    recorded = run.read_manifest().get("config_hash") if resume else None
+    if recorded is not None and recorded != digest:
+        raise ConfigError(f"{run.manifest_path()} records config_hash {recorded}, "
+                          f"not this config's {digest}: resume a run with its own config")
+    run.update_manifest(config_hash=digest, master_seed=cfg.seed,
                         stage_order=list(stages_for(cfg)))
     attempt = 0
     while True:

@@ -1,8 +1,11 @@
 """CSLS translation retrieval, the unsupervised model selection
 criterion, and bidirectional seed-dictionary induction.
 
-All retrieval assumes unit-norm rows on both sides, breaks score ties
-toward the lowest target index, and is deterministic given an rng.
+All retrieval assumes unit-norm rows on both sides, breaks ties
+between equal computed scores toward the lowest target index, and is
+deterministic given an rng.  Exact-duplicate target rows need not
+compute equal scores: BLAS can round one dot product differently by
+the column's place in its kernel, so either copy may win.
 Similarities are float32 products; the top-k means, the scores and
 everything built on them are float64.
 Every CSLS lookup in the package goes through `_translate`, which maps,

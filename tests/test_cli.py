@@ -4,6 +4,7 @@ import os
 import re
 import shlex
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +40,6 @@ dis_hidden = 16
 dis_dropout = 0.0
 criterion_vocab = 600
 csls_k = 5
-
-[multi_gan]
-epochs = 1
-steps_per_epoch = 20
 
 [refinement]
 vocab_limit = 600
@@ -102,15 +99,33 @@ def manifest_without_timings(path):
 
 
 class TestConfig:
-    def test_load_and_digest(self, tmp_path, synth_dir):
+    def test_load_and_digest(self, tmp_path, synth_dir, monkeypatch):
         cfg_path = write_config(tmp_path, synth_dir)
         cfg = load_config(cfg_path)
         assert cfg.seed == 11
         assert cfg.single_gan.epochs == 1
-        assert cfg.multi_gan.epochs == 1
-        assert cfg.multi_gan.steps_per_epoch == 20
-        assert cfg.multi_gan.dis_hidden == 16  # inherits the single-GAN section
+        assert cfg.single_gan.dis_hidden == 16
         assert config_digest(cfg) == config_digest(load_config(cfg_path))
+        assert config_digest(cfg) == config_digest(replace(cfg, stop_after="normalize"))
+        assert config_digest(cfg) != config_digest(replace(cfg, seed=12))
+        # the subspace games train on [single_gan] with their own stage seed
+        trained_on = []
+
+        class Seen(Exception):
+            pass
+
+        def spy(single, pairing, source, target, gan_cfg, lambda_fixed=None):
+            trained_on.append(gan_cfg)
+            raise Seen
+
+        monkeypatch.setattr(pipeline, "train_multi_gan", spy)
+        run = RunDir(tmp_path / "spy")
+        for name in ("normalize", "single_gan", "cluster", "align"):
+            run_stage(run, cfg, name)
+        with pytest.raises(Seen):
+            run_stage(run, cfg, "multi_gan")
+        assert trained_on == [replace(cfg.single_gan,
+                                      seed=derive_seed(cfg.seed, "multi_gan", "0"))]
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -151,7 +166,6 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path, synth_dir))
         assert stages_for(cfg) == ("normalize", "single_gan", "cluster", "align",
                                    "multi_gan", "refine", "induce_dict", "eval")
-        from dataclasses import replace
         assert stages_for(replace(cfg, refine_mode="single")) == (
             "normalize", "single_gan", "refine", "induce_dict", "eval")
         assert stages_for(replace(cfg, stop_after="single_gan")) == (
@@ -185,8 +199,7 @@ class TestPipeline:
     def test_manifest_reports_each_game(self, tmp_path, synth_dir):
         cfg_path = write_config(tmp_path, synth_dir)
         for section, key, value in (("run", "single_restarts", "3"),
-                                    ("single_gan", "epochs", "5"),
-                                    ("multi_gan", "epochs", "4")):
+                                    ("single_gan", "epochs", "5")):
             set_value(cfg_path, section, key, value)
         cfg = load_config(cfg_path)
         stages = run_pipeline(cfg, tmp_path / "games").read_manifest()["stages"]
@@ -196,13 +209,12 @@ class TestPipeline:
         assert single["winning_restart"] == crits.index(max(crits))
         subspaces = len(stages["align"]["metrics"]["pair_sizes"])
         assert len(multi["epochs_run"]) == len(multi["best_epochs"]) == subspaces
-        for metrics, epochs in ((single, 5), (multi, 4)):
+        for metrics in (single, multi):  # both stages train on [single_gan]
             for best, ran in zip(metrics["best_epochs"], metrics["epochs_run"]):
                 # a game runs every epoch or stops `_PATIENCE` epochs after its best
-                assert 0 <= best <= ran and ran in (epochs, best + gan._PATIENCE)
+                assert 0 <= best <= ran and ran in (5, best + gan._PATIENCE)
 
     def test_stage_gating_stops_early(self, tmp_path, synth_dir):
-        from dataclasses import replace
         cfg = replace(load_config(write_config(tmp_path, synth_dir)),
                       stop_after="single_gan")
         out = tmp_path / "gated"
@@ -367,6 +379,54 @@ class TestPipeline:
         assert marker.stat().st_mtime_ns == stamp  # stage not rerun
         assert manifest_without_timings(out / "manifest.json") == before
 
+    @pytest.mark.parametrize("first", [["pipeline", "--stage", "normalize"], ["normalize"]],
+                             ids=["stopped-pipeline", "stage-subcommand"])
+    def test_resume_continues_a_run_of_the_same_config(self, tmp_path, synth_dir, first):
+        cfg_path = write_config(tmp_path, synth_dir)
+        out = tmp_path / "resume"
+        common = ["--config", str(cfg_path), "--out", str(out)]
+        assert main(first[:1] + common + first[1:]) == 0
+        stamp = (out / "source.norm.vec").stat().st_mtime_ns
+        assert main(["pipeline", *common, "--resume"]) == 0
+        assert (out / "source.norm.vec").stat().st_mtime_ns == stamp
+        assert (out / "report.json").exists()
+
+    def test_resume_refuses_another_config(self, tmp_path, synth_dir, capsys):
+        cfg_path = write_config(tmp_path, synth_dir)
+        out = tmp_path / "resume"
+        common = ["--config", str(cfg_path), "--out", str(out)]
+        assert main(["pipeline", *common]) == 0
+        before = (out / "manifest.json").read_bytes()
+        assert main(["pipeline", *common, "--seed", "12", "--resume"]) == 2
+        assert "config_hash" in capsys.readouterr().err
+        assert (out / "manifest.json").read_bytes() == before
+
+    def test_interrupted_manifest_write_keeps_the_old_manifest(self, tmp_path, monkeypatch):
+        run = RunDir(tmp_path / "run")
+        run.update_manifest(config_hash="a")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run.update_manifest(config_hash="b")
+        assert run.read_manifest()["config_hash"] == "a"
+
+    @pytest.mark.parametrize("name, command", [("manifest.json", ["pipeline", "--resume"]),
+                                               ("final/meta.json", ["eval-bli"])])
+    def test_truncated_json_is_a_parse_error(self, tmp_path, synth_dir, capsys, name,
+                                             command):
+        cfg_path = write_config(tmp_path, synth_dir)
+        out = tmp_path / "cut"
+        common = ["--config", str(cfg_path), "--out", str(out)]
+        assert main(["pipeline", *common]) == 0
+        path = out / name
+        text = path.read_bytes()
+        path.write_bytes(text[:len(text) // 2])
+        assert main(command[:1] + common + command[1:]) == 1
+        assert f"error: ParseError: {path}: " in capsys.readouterr().err
+
 
 class TestRetry:
     def test_empty_dictionary_reruns_every_stage_with_fresh_seeds(self, tmp_path, synth_dir,
@@ -473,8 +533,12 @@ class TestCliCommands:
         ("evaluation", "kmeans_k", "-1"),
         # stage seeds derive from [run] seed alone
         ("single_gan", "seed", "123"),
-        ("multi_gan", "seed", "5"),
         ("refinement", "seed", "77"),
+        # both adversarial stages train on [single_gan]: no [multi_gan] section
+        ("multi_gan", "seed", "5"),
+        ("multi_gan", "epochs", "1"),
+        # where a run stops is `pipeline --stage`, not a config key
+        ("run", "stop_after", "normalize"),
     ])
     def test_bad_value_exits_at_config_load(self, tmp_path, synth_dir, section, key,
                                             value):
@@ -563,6 +627,15 @@ class TestReadmeRecipes:
             path = tmp_path / f"block{i}.ini"
             path.write_text(body, encoding="utf-8")
             load_config(path)
+
+    def test_minimal_config_shows_the_defaults(self, tmp_path):
+        path = tmp_path / "minimal.ini"
+        path.write_text(next(body for lang, body in self.BLOCKS if lang == "ini"),
+                        encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg.data.source and cfg.data.target and cfg.data.gold
+        data = replace(cfg.data, source="", target="", gold="")
+        assert replace(cfg, data=data) == PipelineConfig()
 
     def test_every_command_line_parses(self):
         commands = [shlex.split(line, comments=True)
