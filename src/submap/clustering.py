@@ -234,6 +234,9 @@ def kmeans(vectors: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> 
 
 def save_assignments(path, words, assignments: np.ndarray) -> None:
     """Write one 'token<TAB>cluster_id' line per word, read by load_assignments."""
+    for w in words:
+        if "\t" in w or "\n" in w or "\r" in w:
+            raise ParseError(f"token {w!r} contains a tab or line break and cannot be serialized")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for word, cid in zip(words, assignments):
             f.write(f"{word}\t{cid}\n")

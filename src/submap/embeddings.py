@@ -8,6 +8,10 @@ single-space separated, UTF-8.  Vectors are held as float64 throughout.
 call that rounds as `float()` does.  A file the C parse cannot vouch
 for (a malformed line, or a float syntax only `float()` reads, such as
 "1_0") falls back to the per-line loop, which is the reference.
+
+`save_embeddings` writes each field as '%.9g' % x does, formatting
+blocks of rows with array arithmetic, and returns the space the file
+parses to, so a caller that keeps it need not read the file back.
 """
 
 from __future__ import annotations
@@ -184,17 +188,111 @@ def load_embeddings(path, max_vocab: int) -> EmbeddingSpace:
     return EmbeddingSpace(tuple(words), vectors)
 
 
-def save_embeddings(path, space: EmbeddingSpace) -> None:
-    """Write a space in the same text format, floats at 9 significant digits."""
+# Rows per `_format_rows` call: about 2**16 fields, so each of its arrays
+# stays within a core's cache
+_BLOCK_FIELDS = 1 << 16
+_POW10 = 10.0 ** np.arange(13)
+
+
+# An in-band field is 16 bytes, two uint64 lanes; NUL bytes are dropped.
+# Lane 0 is the separator, the sign, "0.", the zeros after the point and
+# the first digit, indexed by lead + 10 * c + 40 * negative, where c counts
+# the thresholds 1e-3, 1e-2 and 0.1 that |x| reaches.  Lane 1 is digits
+# 2-9, from the two tables of `_digit_tables`.
+_LANE0 = np.array([int.from_bytes(b" " + sign + b"0." + b"0" * (3 - c) + b"\0" * c + b"%d" % lead,
+                                  "little")
+                   for sign in (b"\0", b"-") for c in range(4) for lead in range(10)],
+                  dtype=np.uint64)
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of each k < 10**4, first digit at the lowest
+    byte; the second table has the trailing zeros as NUL."""
+    k = np.arange(10000, dtype=np.uint64)
+    full = np.zeros_like(k)
+    strip = np.zeros_like(k)
+    for i in range(4):
+        byte = (k // np.uint64(10 ** (3 - i)) % np.uint64(10) + np.uint64(0x30)) << np.uint64(8 * i)
+        full |= byte
+        # digit i is no trailing zero when it or a later digit is not 0
+        strip |= np.where(k % np.uint64(10 ** (4 - i)) != 0, byte, np.uint64(0))
+    return full, strip
+
+
+_FULL4, _STRIP4 = _digit_tables()
+
+
+def _format_rows(words, vectors: np.ndarray, kept: np.ndarray) -> bytes:
+    """The lines of `words` and their `vectors` rows, each field written
+    as " " + '%.9g' % x; `kept` receives the float each field reads back
+    as.
+
+    A field in the band 1e-4 <= |x| < 1 is formatted with array
+    arithmetic.  Its exponent X comes from three comparisons, and
+    y = |x| * 10**(8 - X) is one rounding of an exact product: 10**p is
+    exact for p <= 22.  Half-integers below 2**52 are floats, so y is on
+    the exact product's side of every tie it does not equal, and where y
+    is no tie and rint(y) has 9 digits, rint(y) is the correctly rounded
+    mantissa m.  m / 10**(8 - X), a quotient of two exact floats, is then
+    what float() reads back.  Every other field (a y that is a tie, the
+    band's edges, zeros, subnormals, |x| >= 1, nan, inf) is formatted on
+    its own with '%.9g' (DECISIONS.md "Text write").
+    """
+    r, d = vectors.shape
+    a = np.abs(vectors)
+    c = (a >= 1e-3).view(np.int8) + (a >= 1e-2).view(np.int8) + (a >= 0.1).view(np.int8)
+    scale = _POW10[12 - c]  # 10**(8 - X) for X = c - 4
+    below_one = a < 1.0  # false for nan too
+    y = np.where(below_one, a, 1e-4) * scale  # the others stay out of the arithmetic
+    m = np.rint(y)
+    band = below_one & (np.abs(y - m) < 0.5) & (m >= 1e8) & (m < 1e9)
+    np.copysign(m / scale, vectors, out=kept)
+    m[~band] = 1e8  # keeps the table indices below in range
+    lead = np.floor(m / 1e8)
+    m -= lead * 1e8
+    hi = np.floor(m / 1e4)
+    lo = (m - hi * 1e4).astype(np.intp)
+    hi = hi.astype(np.intp)
+    others = np.flatnonzero(~band)
+    texts = [b" %.9g" % x for x in vectors.reshape(-1)[others].tolist()]
+    # a third lane only for 16-character fields such as "-1.23456789e+300"
+    lanes = 2 if max(map(len, texts), default=0) <= 16 else 3
+    out = np.zeros((r, d * lanes + 1), dtype=np.uint64)
+    out[:, -1] = ord("\n")
+    fields = out[:, :-1].reshape(r, d, lanes)
+    fields[..., 0] = _LANE0[lead.astype(np.intp) + 10 * c + 40 * np.signbit(vectors)]
+    fields[..., 1] = np.where(lo == 0, _STRIP4[hi], _FULL4[hi] | _STRIP4[lo] << np.uint64(32))
+    if texts:
+        fields[np.divmod(others, d)] = (np.array(texts, dtype=f"S{8 * lanes}")
+                                        .view(np.uint64).reshape(-1, lanes))
+        kept.reshape(-1)[others] = [float(t) for t in texts]
+    body = out.tobytes().translate(None, b"\0")
+    ends = (np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n")) + 1).tolist()
+    rows = memoryview(body)
+    lines = []
+    for word, start, end in zip(words, [0] + ends, ends):
+        lines += (word.encode("utf-8"), rows[start:end])
+    return b"".join(lines)
+
+
+def save_embeddings(path, space: EmbeddingSpace) -> EmbeddingSpace:
+    """Write a space in the same text format, floats as '%.9g' formats
+    them, and return the space the written file parses to.
+
+    The rows are formatted in blocks by `_format_rows`; the returned
+    vectors equal `load_embeddings(path, space.n).vectors` bit for bit.
+    """
     for w in space.words:
-        if " " in w or "\n" in w:
+        if " " in w or "\n" in w or "\r" in w:
             raise ParseError(f"token {w!r} contains whitespace and cannot be serialized")
-    # one %-template per row; '%.9g' % x is byte-identical to format(x, '.9g')
-    row_format = " ".join(["%.9g"] * space.dim) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{space.n} {space.dim}\n")
-        for word, row in zip(space.words, space.vectors.tolist()):
-            f.write(word + " " + row_format % tuple(row))
+    kept = np.empty_like(space.vectors)
+    step = max(1, _BLOCK_FIELDS // space.dim)
+    with open(path, "wb") as f:
+        f.write(b"%d %d\n" % (space.n, space.dim))
+        for i in range(0, space.n, step):
+            block = slice(i, i + step)
+            f.write(_format_rows(space.words[block], space.vectors[block], kept[block]))
+    return EmbeddingSpace(space.words, kept)
 
 
 def unit_rows(vectors: np.ndarray, words=None) -> np.ndarray:

@@ -7,14 +7,15 @@ identical artifacts.  Stage seeds derive from the master seed and the
 stage name; timings live in their own manifest key and are the only
 nondeterministic field.
 
-Each normalized space and each map is parsed at most once per process:
-the RunDir keeps what it parsed, stamped with the file's modification
-time and size, and parses a file again only when its stamp changed.  A
-map the process wrote itself is kept as written, stamped after the
-write, and never parsed: '%.17g' text reads back every bit.  The kept
-object is exactly what the text parses to, so a stage sees the same
-inputs whether it runs inside `pipeline` or as its own subcommand,
-which parses from disk.
+Each normalized space, map, cluster-id file and centroid matrix is
+parsed at most once per process: the RunDir keeps what it parsed,
+stamped with the file's modification time and size, and parses a file
+again only when its stamp changed.  A file the process wrote itself is
+kept as what it parses to, stamped after the write, and never parsed:
+`save_embeddings` returns the space its '%.9g' text reads back as,
+'%.17g' text reads back every finite float bit for bit, and cluster ids
+are integers.  So a stage sees the same inputs whether it runs inside
+`pipeline` or as its own subcommand, which parses from disk.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import os
 import time
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .alignment import SubspacePairing, partition_target_with_merge
 from .clustering import (Partition, finch_hierarchy, kmeans, load_assignments,
@@ -51,8 +54,8 @@ def _read_json(path: Path) -> dict:
 
 
 class RunDir:
-    """Artifact paths, the manifest, and the spaces and maps kept parsed,
-    for one run directory."""
+    """Artifact paths, the manifest, and the spaces, maps, cluster ids and
+    centroids kept parsed, for one run directory."""
 
     def __init__(self, out: str | Path):
         self.root = Path(out)
@@ -76,10 +79,24 @@ class RunDir:
             kept = self._kept[key] = (stamp, parse(self.path(name)))
         return kept[1]
 
+    def _written(self, name: str, key: tuple, parsed) -> None:
+        """Keep `parsed`, what the file `name` just written parses to, under `key`."""
+        self._kept[key] = (self._stamp(name), parsed)
+
     def load_space(self, name: str, max_vocab: int) -> EmbeddingSpace:
-        """The embedding file `name` as load_embeddings parses it."""
+        """The embedding file `name` as load_embeddings parses it.  A space
+        save_space wrote is every word of its file, so it is what any
+        `max_vocab` not below its size parses."""
+        written = self._kept.get((name,))
+        if written is not None and written[1].n <= max_vocab and written[0] == self._stamp(name):
+            return written[1]
         return self._parsed(name, (name, max_vocab),
                             lambda path: load_embeddings(path, max_vocab))
+
+    def save_space(self, name: str, space: EmbeddingSpace) -> None:
+        """Write `space` to `name` and keep the space the file parses to,
+        which save_embeddings returns."""
+        self._written(name, (name,), save_embeddings(self.path(name), space))
 
     def load_map(self, name: str) -> LinearMap:
         """The map file `name` as load_linear_map parses it."""
@@ -89,7 +106,27 @@ class RunDir:
         """Write `m` to `name` and keep it as what the file parses to:
         '%.17g' reads back every float64 bit for bit."""
         save_linear_map(self.path(name), m)
-        self._kept[(name,)] = (self._stamp(name), LinearMap(m.w.copy()))
+        self._written(name, (name,), LinearMap(m.w.copy()))
+
+    def load_assignments(self, name: str, words: tuple[str, ...]) -> np.ndarray:
+        """The cluster-id file `name` as load_assignments parses it for `words`."""
+        return self._parsed(name, (name, words), lambda path: load_assignments(path, words))
+
+    def save_assignments(self, name: str, words: tuple[str, ...], assignments) -> None:
+        """Write one cluster id per word to `name` and keep the ids: the
+        integers read back exactly."""
+        save_assignments(self.path(name), words, assignments)
+        self._written(name, (name, words), np.array(assignments, dtype=np.int64))
+
+    def load_matrix(self, name: str) -> np.ndarray:
+        """The matrix file `name` as load_matrix parses it."""
+        return self._parsed(name, (name,), load_matrix)
+
+    def save_matrix(self, name: str, m: np.ndarray) -> None:
+        """Write `m` to `name` and keep it: '%.17g' reads back every finite
+        float64 bit for bit."""
+        save_matrix(self.path(name), m)
+        self._written(name, (name,), np.array(m, dtype=np.float64))
 
     def manifest_path(self) -> Path:
         return self.root / "manifest.json"
@@ -134,20 +171,18 @@ def _load_normalized(run: RunDir, cfg: PipelineConfig):
 
 
 def _save_partition(run: RunDir, partition: Partition, words) -> None:
-    save_assignments(run.path("source_partition.tsv"), words, partition.assignments)
-    save_matrix(run.path("source_centroids.txt"), partition.centroids)
+    run.save_assignments("source_partition.tsv", words, partition.assignments)
+    run.save_matrix("source_centroids.txt", partition.centroids)
 
 
 def _load_partition(run: RunDir, source: EmbeddingSpace) -> Partition:
-    assignments = load_assignments(run.path("source_partition.tsv"), source.words)
-    centroids = load_matrix(run.path("source_centroids.txt"))
-    return Partition(assignments, centroids)
+    return Partition(run.load_assignments("source_partition.tsv", source.words),
+                     run.load_matrix("source_centroids.txt"))
 
 
 def _load_pairing(run: RunDir, source: EmbeddingSpace, target: EmbeddingSpace) -> SubspacePairing:
-    partition = _load_partition(run, source)
-    target_assignments = load_assignments(run.path("target_assignments.tsv"), target.words)
-    return SubspacePairing(partition, target_assignments)
+    return SubspacePairing(_load_partition(run, source),
+                           run.load_assignments("target_assignments.tsv", target.words))
 
 
 def _save_mapset(run: RunDir, subdir: str, kind: str, maps: list[LinearMap],
@@ -197,8 +232,8 @@ def stage_normalize(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     else:
         source = EmbeddingSpace(source.words, unit_rows(source.vectors, source.words))
         target = EmbeddingSpace(target.words, unit_rows(target.vectors, target.words))
-    save_embeddings(run.path("source.norm.vec"), source)
-    save_embeddings(run.path("target.norm.vec"), target)
+    run.save_space("source.norm.vec", source)
+    run.save_space("target.norm.vec", target)
     return {"artifacts": ["source.norm.vec", "target.norm.vec"],
             "metrics": {"source_n": source.n, "target_n": target.n, "dim": source.dim}}
 
@@ -247,8 +282,7 @@ def stage_align(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     pairing, merged = partition_target_with_merge(single, partition, source, target,
                                                   k=cfg.cluster.align_csls_k)
     _save_partition(run, pairing.source_partition, source.words)
-    save_assignments(run.path("target_assignments.tsv"), target.words,
-                     pairing.target_assignments)
+    run.save_assignments("target_assignments.tsv", target.words, pairing.target_assignments)
     return {"artifacts": ["target_assignments.tsv", "source_partition.tsv",
                           "source_centroids.txt"],
             "metrics": {"pair_sizes": pairing.pair_sizes(),

@@ -16,7 +16,8 @@ from submap.errors import ConfigError, EmptyDictionaryError, TrainingFailedError
 from submap import gan, pipeline
 from submap.pipeline import RunDir, run_pipeline, run_stage, stages_for
 from submap.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
-from submap.mapping import LinearMap, load_linear_map, save_linear_map
+from submap.clustering import load_assignments, save_assignments
+from submap.mapping import LinearMap, load_linear_map, load_matrix, save_linear_map
 from submap.retrieval import load_dictionary_tokens
 
 TINY_CONFIG = """
@@ -61,6 +62,24 @@ def map_loads(monkeypatch):
         return load_linear_map(path)
 
     monkeypatch.setattr(pipeline, "load_linear_map", counting_load)
+    return parsed
+
+
+@pytest.fixture
+def partition_loads(monkeypatch):
+    """The names of the cluster-id and centroid files `pipeline` parses, in order."""
+    parsed = []
+
+    def counting_assignments(path, words):
+        parsed.append(Path(path).name)
+        return load_assignments(path, words)
+
+    def counting_matrix(path):
+        parsed.append(Path(path).name)
+        return load_matrix(path)
+
+    monkeypatch.setattr(pipeline, "load_assignments", counting_assignments)
+    monkeypatch.setattr(pipeline, "load_matrix", counting_matrix)
     return parsed
 
 
@@ -247,9 +266,15 @@ class TestPipeline:
             return load_embeddings(path, max_vocab)
 
         monkeypatch.setattr(pipeline, "load_embeddings", counting_load)
-        run_pipeline(cfg, tmp_path / "once")
-        assert sorted(parsed) == ["source.norm.vec", "source.vec",
-                                  "target.norm.vec", "target.vec"]
+        run = run_pipeline(cfg, tmp_path / "once")
+        # the inputs once each; the normalized spaces are kept as written
+        assert sorted(parsed) == ["source.vec", "target.vec"]
+        for name in ("source.norm.vec", "target.norm.vec"):
+            kept = run.load_space(name, cfg.data.max_vocab)
+            back = load_embeddings(run.path(name), cfg.data.max_vocab)
+            assert kept.words == back.words
+            assert kept.vectors.tobytes() == back.vectors.tobytes()
+        assert sorted(parsed) == ["source.vec", "target.vec"]
 
     def test_rewritten_space_is_parsed_again(self, tmp_path, synth_dir, monkeypatch):
         cfg = load_config(write_config(tmp_path, synth_dir))
@@ -300,6 +325,75 @@ class TestPipeline:
         # a new RunDir, as each per-stage subcommand makes, parses from disk
         assert np.array_equal(RunDir(run.root).load_map("m.txt").w, swapped)
         assert map_loads == ["m.txt", "m.txt"]
+
+    def test_written_space_is_parsed_again_when_rewritten(self, tmp_path, monkeypatch):
+        parsed = []
+
+        def counting_load(path, max_vocab):
+            parsed.append((Path(path).name, max_vocab))
+            return load_embeddings(path, max_vocab)
+
+        monkeypatch.setattr(pipeline, "load_embeddings", counting_load)
+        run = RunDir(tmp_path / "spaces")
+        words = ("a", "b", "c")
+        run.save_space("s.vec", EmbeddingSpace(words, np.eye(3)))
+        assert np.array_equal(run.load_space("s.vec", 3).vectors, np.eye(3))
+        assert run.load_space("s.vec", 10).n == 3 and parsed == []
+        # fewer words than the file holds is a parse of the first ones
+        assert run.load_space("s.vec", 2).words == ("a", "b") and parsed == [("s.vec", 2)]
+        # the same size on disk, so only the new modification time tells
+        swapped = np.eye(3)[[1, 0, 2]]
+        save_embeddings(run.path("s.vec"), EmbeddingSpace(words, swapped))
+        st = run.path("s.vec").stat()
+        os.utime(run.path("s.vec"), ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
+        assert np.array_equal(run.load_space("s.vec", 3).vectors, swapped)
+        assert parsed == [("s.vec", 2), ("s.vec", 3)]
+        run.load_space("s.vec", 3)
+        assert parsed == [("s.vec", 2), ("s.vec", 3)]
+        # a new RunDir, as each per-stage subcommand makes, parses from disk
+        assert np.array_equal(RunDir(run.root).load_space("s.vec", 3).vectors, swapped)
+        assert parsed == [("s.vec", 2), ("s.vec", 3), ("s.vec", 3)]
+
+    def test_partition_files_written_in_process_are_not_parsed(self, tmp_path, synth_dir,
+                                                               partition_loads):
+        cfg = load_config(write_config(tmp_path, synth_dir))
+        run = run_pipeline(cfg, tmp_path / "kept")
+        assert partition_loads == []
+        source = run.load_space("source.norm.vec", cfg.data.max_vocab)
+        target = run.load_space("target.norm.vec", cfg.data.max_vocab)
+        # each kept array is what its file parses to
+        for name, words in (("source_partition.tsv", source.words),
+                            ("target_assignments.tsv", target.words)):
+            assert np.array_equal(run.load_assignments(name, words),
+                                  load_assignments(run.path(name), words))
+        centroids = run.load_matrix("source_centroids.txt")
+        assert centroids.tobytes() == load_matrix(run.path("source_centroids.txt")).tobytes()
+        assert partition_loads == []
+        # a new RunDir, as each per-stage subcommand makes, parses from disk
+        fresh = RunDir(run.root)
+        fresh.load_assignments("target_assignments.tsv", target.words)
+        fresh.load_matrix("source_centroids.txt")
+        assert partition_loads == ["target_assignments.tsv", "source_centroids.txt"]
+
+    def test_rewritten_partition_file_is_parsed_again(self, tmp_path, partition_loads):
+        run = RunDir(tmp_path / "ids")
+        words = ("a", "b", "c")
+        run.save_assignments("p.tsv", words, np.array([0, 1, 0]))
+        run.save_matrix("c.txt", np.eye(2))
+        assert np.array_equal(run.load_assignments("p.tsv", words), [0, 1, 0])
+        assert np.array_equal(run.load_matrix("c.txt"), np.eye(2)) and partition_loads == []
+        # the same sizes on disk, so only the new modification times tell
+        save_assignments(run.path("p.tsv"), words, np.array([1, 0, 1]))
+        np.savetxt(run.path("c.txt"), np.eye(2)[::-1], fmt="%d", header="2 2", comments="")
+        for name in ("p.tsv", "c.txt"):
+            st = run.path(name).stat()
+            os.utime(run.path(name), ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
+        assert np.array_equal(run.load_assignments("p.tsv", words), [1, 0, 1])
+        assert np.array_equal(run.load_matrix("c.txt"), np.eye(2)[::-1])
+        assert partition_loads == ["p.tsv", "c.txt"]
+        run.load_assignments("p.tsv", words)
+        run.load_matrix("c.txt")
+        assert partition_loads == ["p.tsv", "c.txt"]
 
     def test_single_mode_skips_clustering(self, tmp_path, synth_dir):
         cfg = load_config(write_config(tmp_path, synth_dir, refine_mode="single"))

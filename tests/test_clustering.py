@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -307,6 +308,12 @@ def test_partition_round_trip(tmp_path, rng):
     save_assignments(tmp_path / "p.tsv", words, part.assignments)
     back = load_assignments(tmp_path / "p.tsv", words)
     assert np.array_equal(back, part.assignments)
+
+
+@pytest.mark.parametrize("token", ["a\tb", "a\nb", "a\rb"])
+def test_save_assignments_rejects_tokens_it_cannot_read_back(tmp_path, token):
+    with pytest.raises(ParseError, match=re.escape(repr(token))):
+        save_assignments(tmp_path / "p.tsv", ("w0", token), np.array([0, 0]))
 
 
 def test_non_integer_cluster_id_names_file_and_line(tmp_path):

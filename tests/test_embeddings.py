@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,15 @@ def test_save_rejects_tokens_with_spaces(tmp_path):
     space = EmbeddingSpace(("a b",), np.array([[1.0, 0.0]]))
     with pytest.raises(ParseError):
         save_embeddings(tmp_path / "bad.vec", space)
+
+
+@pytest.mark.parametrize("token", ["a\rb", "a\nb", "a\r"])
+def test_save_rejects_tokens_with_line_breaks(tmp_path, token):
+    # reading splits lines at "\r" as well as "\n", so the file could not be read back
+    space = EmbeddingSpace((token, "c"), np.array([[0.6, 0.8], [0.8, 0.6]]))
+    with pytest.raises(ParseError, match=re.escape(repr(token))):
+        save_embeddings(tmp_path / "bad.vec", space)
+    assert not (tmp_path / "bad.vec").exists()
 
 
 token_strategy = st.text(
