@@ -219,7 +219,34 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     return full, strip
 
 
-_FULL4, _STRIP4 = _digit_tables()
+# _DIGITS4[k] and _DIGITS4[10000 + k]: the four digits of k < 10**4, the
+# second with its trailing zeros as NUL
+_DIGITS4 = np.concatenate(_digit_tables())
+_FULL4, _STRIP4 = _DIGITS4[:10000], _DIGITS4[10000:]
+
+
+def _join_fields(lanes, others: np.ndarray, texts: list[bytes], row_sep: bool = True) -> bytes:
+    """Rows of fields, each field the bytes of its uint64 lanes (one
+    [rows, cols] array per lane, NUL-padded) or, at flat index others[i],
+    texts[i]; each row ends in "\n" and every NUL byte is dropped.
+
+    Fields are built with their leading separator; `row_sep=False` drops
+    it before each row's first field.  A text longer than the lanes widens
+    every field of the call by the lanes it needs.
+    """
+    r, d = lanes[0].shape
+    n = max(len(lanes), -(-max(map(len, texts), default=0) // 8))
+    out = np.zeros((r, d * n + 1), dtype=np.uint64)
+    out[:, -1] = ord("\n")
+    fields = out[:, :-1].reshape(r, d, n)
+    for i, lane in enumerate(lanes):
+        fields[..., i] = lane
+    if texts:
+        fields[np.divmod(others, d)] = (np.array(texts, dtype=f"S{8 * n}")
+                                        .view(np.uint64).reshape(-1, n))
+    if not row_sep:
+        fields[:, :1, 0] &= ~np.uint64(0xFF)  # the separator is each field's first byte
+    return out.tobytes().translate(None, b"\0")
 
 
 def _format_rows(words, vectors: np.ndarray, kept: np.ndarray) -> bytes:
@@ -238,7 +265,6 @@ def _format_rows(words, vectors: np.ndarray, kept: np.ndarray) -> bytes:
     band's edges, zeros, subnormals, |x| >= 1, nan, inf) is formatted on
     its own with '%.9g' (DECISIONS.md "Text write").
     """
-    r, d = vectors.shape
     a = np.abs(vectors)
     c = (a >= 1e-3).view(np.int8) + (a >= 1e-2).view(np.int8) + (a >= 0.1).view(np.int8)
     scale = _POW10[12 - c]  # 10**(8 - X) for X = c - 4
@@ -255,18 +281,12 @@ def _format_rows(words, vectors: np.ndarray, kept: np.ndarray) -> bytes:
     hi = hi.astype(np.intp)
     others = np.flatnonzero(~band)
     texts = [b" %.9g" % x for x in vectors.reshape(-1)[others].tolist()]
-    # a third lane only for 16-character fields such as "-1.23456789e+300"
-    lanes = 2 if max(map(len, texts), default=0) <= 16 else 3
-    out = np.zeros((r, d * lanes + 1), dtype=np.uint64)
-    out[:, -1] = ord("\n")
-    fields = out[:, :-1].reshape(r, d, lanes)
-    fields[..., 0] = _LANE0[lead.astype(np.intp) + 10 * c + 40 * np.signbit(vectors)]
-    fields[..., 1] = np.where(lo == 0, _STRIP4[hi], _FULL4[hi] | _STRIP4[lo] << np.uint64(32))
     if texts:
-        fields[np.divmod(others, d)] = (np.array(texts, dtype=f"S{8 * lanes}")
-                                        .view(np.uint64).reshape(-1, lanes))
         kept.reshape(-1)[others] = [float(t) for t in texts]
-    body = out.tobytes().translate(None, b"\0")
+    # a 16-character field such as "-1.23456789e+300" widens the block by a lane
+    body = _join_fields([_LANE0[lead.astype(np.intp) + 10 * c + 40 * np.signbit(vectors)],
+                         np.where(lo == 0, _STRIP4[hi], _FULL4[hi] | _STRIP4[lo] << np.uint64(32))],
+                        others, texts)
     ends = (np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n")) + 1).tolist()
     rows = memoryview(body)
     lines = []

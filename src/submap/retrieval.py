@@ -76,13 +76,6 @@ def _column_topk(sims: np.ndarray, k: int) -> np.ndarray:
     return cols.copy() if cols.shape[1] < k else _row_topk(cols, k)
 
 
-def _drop_scores(scores: np.ndarray, keep_prob: float, rng) -> np.ndarray:
-    if keep_prob >= 1.0:
-        return scores
-    scores[rng.random(scores.shape) >= keep_prob] = -np.inf
-    return scores
-
-
 def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
                    rng: np.random.Generator | None = None) -> np.ndarray:
     """Top-1 target index per query under 2*cos - r_t - r_s.
@@ -91,7 +84,8 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
     r_s the mean cosine of the target to its k nearest query rows; the
     query set itself serves as the source-side neighborhood.  With
     keep_prob < 1 each score survives with that probability and dropped
-    scores count as -inf (stochastic dictionary induction).
+    scores count as -inf (stochastic dictionary induction); keep_prob
+    must be positive, and 1 or more drops nothing.
 
     Query rows go in blocks of at most 2**23 similarities (32 MB), each
     the float32 product of its rows with every target in one BLAS call,
@@ -100,13 +94,16 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
     (`topk_mean`) and merges the block's columns into a running
     [n_targets, k] top-k for r_s (`_column_topk`); both partition in
     float32 and both means accumulate in float64.  The second pass
-    scores and takes the argmax; it reuses the product when every query
-    fits in one block and recomputes each block otherwise.  Top-k,
-    scoring, dropout and argmax run on slices of 64 rows or columns:
-    each score slice is copied into one reused float64 buffer before
-    2*sim - r_t - r_s, so memory holds one float32 block plus a few
-    slice buffers, and the dropout draws, slice after slice, continue
-    one stream as a single draw over the block would.
+    scores and takes the argmax.  It starts with the block the buffer
+    still holds and recomputes the others; with dropout it goes block
+    after block in query order, so the block left over is recomputed too.
+    Top-k, scoring, dropout and argmax run on slices of 64 rows or
+    columns: each score slice is copied into one reused float64 buffer
+    before 2*sim - r_t - r_s.  So memory holds one float32 block plus a
+    few slice buffers.  Each slice's dropout draws fill one reused buffer
+    u, and a score is dropped where u >= keep_prob, by taking the minimum
+    with -inf there and +inf elsewhere; slice after slice, the draws
+    continue one stream as a single draw over the query rows would.
     """
     q_vecs = _rows32(queries)
     t_vecs = _rows32(target)
@@ -115,7 +112,10 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
         raise ConfigError(f"k={k} out of range for {n_t} target rows")
     if k > n_q:
         raise ConfigError(f"k={k} exceeds query count {n_q} for the r_s neighborhood")
-    if keep_prob < 1.0 and rng is None:
+    if not keep_prob > 0.0:
+        raise ConfigError(f"keep_prob must be positive, got {keep_prob}")
+    dropout = keep_prob < 1.0
+    if dropout and rng is None:
         raise ConfigError("keep_prob < 1 requires an rng")
     step = _block_rows(n_t)
     block = np.empty((min(step, n_q), n_t), dtype=np.float32)
@@ -124,9 +124,10 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
         rows = q_vecs[i:i + step]
         return np.matmul(rows, t_vecs.T, out=block[:len(rows)])
 
+    starts = range(0, n_q, step)
     r_t = np.empty(n_q)
     col_top = None  # [n_t, <= k] largest similarities seen so far per target
-    for i in range(0, n_q, step):
+    for i in starts:
         sims = product(i)
         r_t[i:i + step] = topk_mean(sims, k)
         top = _column_topk(sims, k)
@@ -136,9 +137,11 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
     r_s = col_top.mean(axis=1, dtype=np.float64)
     out = np.empty(n_q, dtype=np.int64)
     buf = np.empty((min(_SLICE, n_q), n_t))
-    for i in range(0, n_q, step):
-        if n_q > step:
-            sims = product(i)
+    drawn = np.empty_like(buf) if dropout else None
+    held = starts[-1]  # the block `block` holds
+    for i in starts if dropout else [held, *starts[:-1]]:
+        if i != held:
+            sims, held = product(i), i
         for j in range(0, len(sims), _SLICE):
             scores = buf[:min(_SLICE, len(sims) - j)]
             scores[...] = sims[j:j + _SLICE]
@@ -146,7 +149,14 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
             scores *= 2.0
             scores -= r_t[rows, None]
             scores -= r_s
-            out[rows] = _drop_scores(scores, keep_prob, rng).argmax(axis=1)
+            if dropout:
+                u = drawn[:len(scores)]
+                rng.random(out=u)
+                u -= keep_prob  # +0 or more exactly where u >= keep_prob
+                np.copysign(np.inf, u, out=u)
+                np.negative(u, out=u)
+                np.minimum(scores, u, out=scores)
+            out[rows] = scores.argmax(axis=1)
     return out
 
 

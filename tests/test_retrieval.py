@@ -90,6 +90,12 @@ class TestCslsTranslate:
         with pytest.raises(ConfigError):
             csls_translate(small_space.vectors, small_space, k=0)
 
+    @pytest.mark.parametrize("keep_prob", [0.0, -0.5, float("nan")])
+    def test_keep_prob_must_be_positive(self, small_space, keep_prob):
+        with pytest.raises(ConfigError, match="keep_prob must be positive"):
+            csls_translate(small_space.vectors, small_space, 2, keep_prob,
+                           np.random.default_rng(0))
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), scale=st.floats(0.1, 10.0))
     def test_invariant_under_uniform_target_rescaling(self, seed, scale):
@@ -146,6 +152,40 @@ class TestSlicedKernel:
             want = one_shot_csls(queries, targets, k, step, keep_prob,
                                  np.random.default_rng(seed))
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("step", [None, 7])  # 1 block; 4 blocks
+    def test_dropout_consumes_the_one_shot_stream(self, monkeypatch, step):
+        # refinement reads one generator across iterations, so a call must
+        # leave it where the one-shot kernel leaves it
+        k, n_q, n_t = 5, 23, 29
+        if step is not None:
+            monkeypatch.setattr(retrieval, "_BLOCK_ELEMENTS", step * n_t)
+        g = np.random.default_rng(4)
+        queries, targets = unit_rows(g.normal(size=(n_q, 4))), unit_rows(g.normal(size=(n_t, 4)))
+        got, want = np.random.default_rng(9), np.random.default_rng(9)
+        csls_translate(queries, targets, k, 0.3, got)
+        one_shot_csls(queries, targets, k, retrieval._block_rows(n_t), 0.3, want)
+        assert np.array_equal(got.random(50), want.random(50))
+
+    @pytest.mark.parametrize("keep_prob, products", [(1.0, 7), (0.3, 8)])
+    def test_resident_block_is_scored_without_a_product(self, monkeypatch, keep_prob,
+                                                        products):
+        n_t = 29
+        monkeypatch.setattr(retrieval, "_BLOCK_ELEMENTS", 7 * n_t)  # 4 blocks
+        matmul = np.matmul
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(retrieval.np, "matmul", counted)
+        g = np.random.default_rng(2)
+        queries, targets = unit_rows(g.normal(size=(23, 4))), unit_rows(g.normal(size=(n_t, 4)))
+        got = csls_translate(queries, targets, 5, keep_prob, np.random.default_rng(2))
+        assert len(calls) == products  # 4 + 3 without draws: the last block stays
+        assert np.array_equal(got, one_shot_csls(queries, targets, 5, 7, keep_prob,
+                                                 np.random.default_rng(2)))
 
     @pytest.mark.parametrize("k", [5, 10])
     def test_topk_passes_match_one_shot_kernel(self, k):
