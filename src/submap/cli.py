@@ -74,7 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run)
     run.add_argument("--stage", default=None, help="stop after this stage")
     run.add_argument("--resume", action="store_true",
-                     help="skip stages whose artifacts already exist")
+                     help="skip stages whose artifacts already exist; a directory "
+                          "whose manifest records another config's hash is refused "
+                          "(exit 2)")
 
     for name, (_, help_text) in _STAGE_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)

@@ -9,9 +9,11 @@ call that rounds as `float()` does.  A file the C parse cannot vouch
 for (a malformed line, or a float syntax only `float()` reads, such as
 "1_0") falls back to the per-line loop, which is the reference.
 
-`save_embeddings` writes each field as '%.9g' % x does, formatting
-blocks of rows with array arithmetic, and returns the space the file
-parses to, so a caller that keeps it need not read the file back.
+`write_rows` is the one text writer of spaces and maps: it formats
+blocks of rows with array arithmetic, each field as '%.9g' or '%.17g'
+formats it.  `save_embeddings` writes a space at 9 digits and returns
+the space the file parses to, so a caller that keeps it need not read
+the file back; `mapping.save_matrix` writes maps and centroids at 17.
 """
 
 from __future__ import annotations
@@ -188,21 +190,37 @@ def load_embeddings(path, max_vocab: int) -> EmbeddingSpace:
     return EmbeddingSpace(tuple(words), vectors)
 
 
-# Rows per `_format_rows` call: about 2**16 fields, so each of its arrays
-# stays within a core's cache
-_BLOCK_FIELDS = 1 << 16
-_POW10 = 10.0 ** np.arange(13)
+# Fields per `_format_fields` call: its temporaries then take about 2 MB,
+# and a larger block is no faster per field
+_BLOCK_FIELDS = 1 << 14
+
+# 10**p for p = 0 ... 22, each an exact float, and its Veltkamp halves,
+# which Dekker's TwoProduct multiplies
+_POW10 = 10.0 ** np.arange(23)
+_SPLIT = 134217729.0  # 2**27 + 1
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
 
 
-# An in-band field is 16 bytes, two uint64 lanes; NUL bytes are dropped.
-# Lane 0 is the separator, the sign, "0.", the zeros after the point and
-# the first digit, indexed by lead + 10 * c + 40 * negative, where c counts
-# the thresholds 1e-3, 1e-2 and 0.1 that |x| reaches.  Lane 1 is digits
-# 2-9, from the two tables of `_digit_tables`.
-_LANE0 = np.array([int.from_bytes(b" " + sign + b"0." + b"0" * (3 - c) + b"\0" * c + b"%d" % lead,
-                                  "little")
-                   for sign in (b"\0", b"-") for c in range(4) for lead in range(10)],
-                  dtype=np.uint64)
+def _field_prefix(sign: bytes, e: int, point: bool, lead: int) -> int:
+    """Lane 0 of a field: the separator, the sign, and the text before the
+    fraction digits of a mantissa, for the exponent X = -e."""
+    dot = b"." if point else b"\0"
+    if e == 0:
+        text = b"\0" * 4 + b"%d" % lead + dot
+    elif e <= 4:
+        text = b"0." + b"0" * (e - 1) + b"\0" * (4 - e) + b"%d" % lead
+    else:  # the first four fraction digits fill the upper half
+        text = b"%d" % lead + dot + b"\0" * 4
+    return int.from_bytes(b" " + sign + text, "little")
+
+
+# indexed by lead + 10 * (e + 7 * (no fraction digit + 2 * negative))
+_PREFIX = np.array([_field_prefix(sign, e, point, lead)
+                    for sign in (b"\0", b"-") for point in (True, False)
+                    for e in range(7) for lead in range(10)], dtype=np.uint64)
+_EXPONENT = np.array([0] * 5 + [int.from_bytes(b"e-0%d" % e, "little") for e in (5, 6)],
+                     dtype=np.uint64)
 
 
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -222,10 +240,39 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 # _DIGITS4[k] and _DIGITS4[10000 + k]: the four digits of k < 10**4, the
 # second with its trailing zeros as NUL
 _DIGITS4 = np.concatenate(_digit_tables())
-_FULL4, _STRIP4 = _DIGITS4[:10000], _DIGITS4[10000:]
 
 
-def _join_fields(lanes, others: np.ndarray, texts: list[bytes], row_sep: bool = True) -> bytes:
+def _mantissa(a: np.ndarray, e: np.ndarray, precision: int) -> tuple[np.ndarray, np.ndarray]:
+    """D = a * 10**(precision - 1 + e) rounded half to even, as int64, and
+    where hi <= 10**(precision - 1), which holds wherever the exact product
+    has fewer than `precision` digits.
+
+    hi, the rounded product, is within hi * 2**-53 of the exact one, so
+    rint(hi) is D wherever that keeps clear of a half-integer.
+    Elsewhere Dekker's TwoProduct gives hi + lo = the exact product, and
+    hi is an even integer (hi >= 10**16 > 2**53) or, for precision 9, a
+    half-integer: D is rint(hi) + rint(lo), moved across the tie by the
+    sign of lo."""
+    hi = a * _POW10[precision - 1:][e]
+    d = np.rint(hi)
+    t = hi - d
+    near = np.flatnonzero(np.abs(t) + hi * 2.0 ** -53 >= 0.5)
+    d = d.astype(np.int64)
+    if near.size:
+        i = near if near.size < d.size else slice(None)
+        p = e[i] + (precision - 1)
+        a_hi = _SPLIT * a[i]
+        a_hi -= a_hi - a[i]
+        a_lo = a[i] - a_hi
+        lo = a_hi * _POW10_HI[p] - hi[i]
+        lo += a_hi * _POW10_LO[p]
+        lo += a_lo * _POW10_HI[p]
+        lo += a_lo * _POW10_LO[p]
+        d[i] += (np.rint(lo) + 2 * t[i] * (t[i] * lo > 0)).astype(np.int64)
+    return d, hi <= _POW10[precision - 1]
+
+
+def _join_fields(lanes, others: np.ndarray, texts: list[bytes], row_sep: bool) -> bytes:
     """Rows of fields, each field the bytes of its uint64 lanes (one
     [rows, cols] array per lane, NUL-padded) or, at flat index others[i],
     texts[i]; each row ends in "\n" and every NUL byte is dropped.
@@ -249,69 +296,107 @@ def _join_fields(lanes, others: np.ndarray, texts: list[bytes], row_sep: bool = 
     return out.tobytes().translate(None, b"\0")
 
 
-def _format_rows(words, vectors: np.ndarray, kept: np.ndarray) -> bytes:
-    """The lines of `words` and their `vectors` rows, each field written
-    as " " + '%.9g' % x; `kept` receives the float each field reads back
-    as.
+def _format_fields(m: np.ndarray, precision: int, kept: np.ndarray | None,
+                   row_sep: bool) -> bytes:
+    """The lines of `m`, each field written as " " + '%.{precision}g' % x
+    for precision 9 or 17; `kept`, if given (precision 9), receives the
+    float each field reads back as.
 
-    A field in the band 1e-4 <= |x| < 1 is formatted with array
-    arithmetic.  Its exponent X comes from three comparisons, and
-    y = |x| * 10**(8 - X) is one rounding of an exact product: 10**p is
-    exact for p <= 22.  Half-integers below 2**52 are floats, so y is on
-    the exact product's side of every tie it does not equal, and where y
-    is no tie and rint(y) has 9 digits, rint(y) is the correctly rounded
-    mantissa m.  m / 10**(8 - X), a quotient of two exact floats, is then
-    what float() reads back.  Every other field (a y that is a tie, the
-    band's edges, zeros, subnormals, |x| >= 1, nan, inf) is formatted on
-    its own with '%.9g' (DECISIONS.md "Text write").
+    A field with 1e-6 <= |x| < 10 is formatted with array arithmetic.
+    floor(log10|x|) guesses its exponent X = -e; where the product may
+    lie below 10**(precision - 1) or its mantissa D reaches 10**precision,
+    a second evaluation moves X by one, and a field still outside
+    [10**(precision - 1), 10**precision) after it, or whose X leaves
+    -6...0, is formatted on its own.  Zeros come out as "0" or "-0", and
+    every other field (|x| < 1e-6, |x| >= 10, nan, inf) is formatted with
+    '%.{precision}g' one at a time.  For precision 9, D / 10**(8 + e), a
+    quotient of two exact floats, is what float() reads back
+    (DECISIONS.md "Text write").
     """
-    a = np.abs(vectors)
-    c = (a >= 1e-3).view(np.int8) + (a >= 1e-2).view(np.int8) + (a >= 0.1).view(np.int8)
-    scale = _POW10[12 - c]  # 10**(8 - X) for X = c - 4
-    below_one = a < 1.0  # false for nan too
-    y = np.where(below_one, a, 1e-4) * scale  # the others stay out of the arithmetic
-    m = np.rint(y)
-    band = below_one & (np.abs(y - m) < 0.5) & (m >= 1e8) & (m < 1e9)
-    np.copysign(m / scale, vectors, out=kept)
-    m[~band] = 1e8  # keeps the table indices below in range
-    lead = np.floor(m / 1e8)
-    m -= lead * 1e8
-    hi = np.floor(m / 1e4)
-    lo = (m - hi * 1e4).astype(np.intp)
-    hi = hi.astype(np.intp)
-    others = np.flatnonzero(~band)
-    texts = [b" %.9g" % x for x in vectors.reshape(-1)[others].tolist()]
-    if texts:
+    x = m.reshape(-1)
+    a = np.abs(x)
+    band = (a >= 1e-6) & (a < 10.0)  # false for nan too
+    a = np.where(band, a, 1.0)  # the others stay out of the arithmetic
+    e = np.clip(-np.floor(np.log10(a)), 0, 6).astype(np.intp)
+    d, below = _mantissa(a, e, precision)
+    moved = np.flatnonzero(band & (below | (d >= 10 ** precision)))
+    if moved.size:
+        e_moved = e[moved] + np.where(below[moved], 1, -1)
+        valid = (e_moved >= 0) & (e_moved <= 6)
+        e_moved[~valid] = 0
+        d_moved, below_moved = _mantissa(a[moved], e_moved, precision)
+        band[moved] = valid & ~below_moved & (d_moved < 10 ** precision)
+        e[moved], d[moved] = e_moved, d_moved
+    out = ~band
+    others = np.flatnonzero(out & (x != 0.0))
+    texts = [b" %.*g" % (precision, v) for v in x[others].tolist()]
+    d[out] = 0  # zeros; the others' lanes are overwritten by their texts
+    e[out] = 0
+    if kept is not None:
+        np.copysign(d / _POW10[precision - 1:][e], x, out=kept.reshape(-1))
         kept.reshape(-1)[others] = [float(t) for t in texts]
-    # a 16-character field such as "-1.23456789e+300" widens the block by a lane
-    body = _join_fields([_LANE0[lead.astype(np.intp) + 10 * c + 40 * np.signbit(vectors)],
-                         np.where(lo == 0, _STRIP4[hi], _FULL4[hi] | _STRIP4[lo] << np.uint64(32))],
-                        others, texts)
-    ends = (np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n")) + 1).tolist()
-    rows = memoryview(body)
-    lines = []
-    for word, start, end in zip(words, [0] + ends, ends):
-        lines += (word.encode("utf-8"), rows[start:end])
-    return b"".join(lines)
+    # four fraction digits at a time from the last, each from the table with
+    # trailing zeros as NUL where no later group has a digit
+    quads = []
+    tail = True
+    for _ in range((precision - 1) // 4):
+        group, d = d, d // 10 ** 4
+        group -= d * 10 ** 4
+        quads.insert(0, _DIGITS4[group + 10000 * tail])
+        tail = tail & (group == 0)
+    lanes = [_PREFIX[d + 10 * (e + 7 * (tail + 2 * np.signbit(x)))]]
+    lanes += [quads[k] | quads[k + 1] << 32 for k in range(0, len(quads), 2)]
+    # below X = -4, "d.ddd...e-0X": every group half a lane earlier, then
+    # the exponent
+    sci = np.flatnonzero(e > 4)
+    if sci.size:
+        old = [lane[sci] for lane in lanes] + [_EXPONENT[e[sci]]]
+        lanes[0][sci] = old[0] | old[1] << 32
+        for k in range(1, len(lanes)):
+            lanes[k][sci] = old[k] >> 32 | old[k + 1] << 32
+    # a per-field text such as "-1.2345678901234567e+300" widens the block by a lane
+    return _join_fields([lane.reshape(m.shape) for lane in lanes], others, texts, row_sep)
+
+
+def write_rows(f, m: np.ndarray, precision: int, words=None, kept=None) -> None:
+    """Write one line per row of `m` to the binary file `f`: its fields as
+    '%.{precision}g' formats them (9 or 17), single-space separated, after
+    `words[i]` and a space where words are given.  `kept` (precision 9)
+    receives the float each field reads back as.
+
+    Rows are formatted in blocks of about `_BLOCK_FIELDS` fields by
+    `_format_fields`.
+    """
+    step = max(1, _BLOCK_FIELDS // max(1, m.shape[1]))
+    for i in range(0, len(m), step):
+        block = slice(i, i + step)
+        body = _format_fields(m[block], precision, None if kept is None else kept[block],
+                              row_sep=words is not None)
+        if words is None:
+            f.write(body)
+            continue
+        ends = (np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n")) + 1).tolist()
+        rows = memoryview(body)
+        lines = []
+        for word, start, end in zip(words[block], [0] + ends, ends):
+            lines += (word.encode("utf-8"), rows[start:end])
+        f.write(b"".join(lines))
 
 
 def save_embeddings(path, space: EmbeddingSpace) -> EmbeddingSpace:
     """Write a space in the same text format, floats as '%.9g' formats
     them, and return the space the written file parses to.
 
-    The rows are formatted in blocks by `_format_rows`; the returned
-    vectors equal `load_embeddings(path, space.n).vectors` bit for bit.
+    The returned vectors equal `load_embeddings(path, space.n).vectors`
+    bit for bit.
     """
     for w in space.words:
         if " " in w or "\n" in w or "\r" in w:
             raise ParseError(f"token {w!r} contains whitespace and cannot be serialized")
     kept = np.empty_like(space.vectors)
-    step = max(1, _BLOCK_FIELDS // space.dim)
     with open(path, "wb") as f:
         f.write(b"%d %d\n" % (space.n, space.dim))
-        for i in range(0, space.n, step):
-            block = slice(i, i + step)
-            f.write(_format_rows(space.words[block], space.vectors[block], kept[block]))
+        write_rows(f, space.vectors, 9, space.words, kept)
     return EmbeddingSpace(space.words, kept)
 
 

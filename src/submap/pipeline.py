@@ -13,8 +13,9 @@ stamped with the file's modification time and size, and parses a file
 again only when its stamp changed.  A file the process wrote itself is
 kept as what it parses to, stamped after the write, and never parsed:
 `save_embeddings` returns the space its '%.9g' text reads back as,
-'%.17g' text reads back every finite float bit for bit, and cluster ids
-are integers.  So a stage sees the same inputs whether it runs inside
+'%.17g' text reads back every finite float bit for bit (one writer,
+`embeddings.write_rows`, writes both), and cluster ids are integers.
+So a stage sees the same inputs whether it runs inside
 `pipeline` or as its own subcommand, which parses from disk.
 """
 
@@ -104,7 +105,7 @@ class RunDir:
 
     def save_map(self, name: str, m: LinearMap) -> None:
         """Write `m` to `name` and keep it as what the file parses to:
-        '%.17g' reads back every float64 bit for bit."""
+        `write_rows`' '%.17g' text reads back every float64 bit for bit."""
         save_linear_map(self.path(name), m)
         self._written(name, (name,), LinearMap(m.w.copy()))
 
@@ -123,8 +124,8 @@ class RunDir:
         return self._parsed(name, (name,), load_matrix)
 
     def save_matrix(self, name: str, m: np.ndarray) -> None:
-        """Write `m` to `name` and keep it: '%.17g' reads back every finite
-        float64 bit for bit."""
+        """Write `m` to `name` and keep it: `write_rows`' '%.17g' text
+        reads back every finite float64 bit for bit."""
         save_matrix(self.path(name), m)
         self._written(name, (name,), np.array(m, dtype=np.float64))
 

@@ -40,21 +40,28 @@ def random_orthogonal(d: int, seed: int) -> np.ndarray:
 
 
 def _distinct_rotations(clusters: int, d: int, rng: np.random.Generator,
-                        min_gap: float = 1.0) -> list[np.ndarray]:
+                        min_gap: float = 1.0, draws: int = 1000) -> list[np.ndarray]:
     """Per-cluster rotations kept pairwise at least `min_gap` apart in
-    Frobenius norm, so no single map can fit every cluster."""
+    Frobenius norm, so no single map can fit every cluster.  SO(2) holds
+    at most 8 such rotations, so the search gives up after `draws`."""
     rotations: list[np.ndarray] = []
-    while len(rotations) < clusters:
+    for _ in range(draws):
         q = random_orthogonal(d, int(rng.integers(0, 2 ** 31)))
         if all(np.linalg.norm(q - other) >= min_gap for other in rotations):
             rotations.append(q)
-    return rotations
+            if len(rotations) == clusters:
+                return rotations
+    raise ConfigError(f"clusters = {clusters} rotations of d = {d} pairwise {min_gap} apart "
+                      f"not found in {draws} draws (found {len(rotations)}); "
+                      f"use fewer clusters or a larger d")
 
 
 def generate_instance(clusters: int, per_cluster: int, d: int, separation: float,
                       noise_sigma: float, seed: int) -> SyntheticInstance:
     if clusters < 1 or per_cluster < 1:
         raise ConfigError("clusters and per_cluster must be positive")
+    if d < 2:
+        raise ConfigError(f"d must be >= 2, got {d}")
     if not 0 < separation < np.inf:
         raise ConfigError(f"separation must be positive and finite, got {separation}")
     if not 0 <= noise_sigma < np.inf:

@@ -41,6 +41,16 @@ def true_piecewise_forward(inst):
 
 
 class TestGenerateInstance:
+    @pytest.mark.parametrize("d", [1, 0, -1])
+    def test_rejects_dim_below_two(self, d):
+        with pytest.raises(ConfigError, match="d must be >= 2"):
+            generate_instance(2, 10, d, 5.0, 0.0, seed=0)
+
+    def test_rejects_more_rotations_than_fit(self):
+        # SO(2) holds at most 8 rotations pairwise 1.0 apart
+        with pytest.raises(ConfigError, match=r"clusters = 9 .* d = 2"):
+            generate_instance(9, 2, 2, 5.0, 0.0, seed=0)
+
     def test_single_cluster_no_noise_is_exact_rotation(self):
         inst = generate_instance(1, 100, 8, 5.0, 0.0, seed=3)
         q = inst.true_maps[0]

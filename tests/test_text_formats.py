@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submap import embeddings, mapping
+from submap import embeddings
 from submap.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
 from submap.errors import ParseError
 from submap.mapping import LinearMap, load_linear_map, load_matrix, save_linear_map, save_matrix
@@ -43,13 +43,21 @@ def test_save_embeddings_golden_bytes(tmp_path):
 
 
 def _edge_pool():
-    """Fields at the edges of `save_embeddings`' array path, and the values
-    it hands to '%.9g' one by one."""
-    bounds = [s * b for b in (1e-4, 1e-3, 0.01, 0.1, 1.0) for s in (1.0, -1.0)]
+    """Fields at the edges of the writers' array path, and the values they
+    hand to '%.9g' or '%.17g' one by one."""
+    bounds = [s * b for b in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0)
+              for s in (1.0, -1.0)]
     pool = bounds + [np.nextafter(b, t) for b in bounds for t in (-np.inf, np.inf)]
+    # the floats just below each power of ten: where a mantissa would carry
+    # to the next power, and where floor(log10) can name the next exponent
+    for p in range(-7, 3):
+        x = float(f"1e{p}")
+        for _ in range(4):
+            x = np.nextafter(x, 0.0)
+            pool += [x, -x]
     exact_ties = [2.0 ** -13, -(2.0 ** -13), 105 / 1024, -105 / 1024]  # (k + 0.5) / 10**p
-    pool += exact_ties + [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1.23456789e300,
-                          np.nan, np.inf, -np.inf]
+    pool += exact_ties + [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, -1.23456789e300,
+                          -1.2345678901234567e300, np.nan, np.inf, -np.inf]
     return np.array(pool)
 
 
@@ -77,14 +85,7 @@ def test_save_embeddings_matches_per_element_formatting(tmp_path_factory, width,
     m[edge] = g.choice(EDGE_POOL, size=int(edge.sum()))
     tie = ~edge & (g.random(m.shape) < 0.02)
     m[tie] = _near_ties(g, int(tie.sum()))
-    words = [f"w{i}" for i in range(rows)]
-    path = tmp_path_factory.mktemp("fmt") / "space.vec"
-    kept = save_embeddings(path, EmbeddingSpace(tuple(words), m))
-    expected = f"{rows} {width}\n" + per_element(m, ".9g", words)
-    assert path.read_bytes() == expected.encode("utf-8")
-    back = load_embeddings(path, max_vocab=rows)
-    assert kept.words == back.words
-    assert kept.vectors.tobytes() == back.vectors.tobytes()
+    assert_writes_per_element_bytes(tmp_path_factory.mktemp("fmt") / "space.vec", m, ".9g")
 
 
 def test_save_linear_map_golden_bytes(tmp_path):
@@ -108,26 +109,6 @@ def test_centroid_matrix_golden_bytes(tmp_path):
     assert np.array_equal(np.signbit(back), np.signbit(m))
 
 
-def _map_pool():
-    """Fields at the edges of `save_matrix`' array path, and the values it
-    hands to '%.17g' one by one."""
-    bounds = [s * b for b in (1e-7, 1e-6, 1e-5, 1e-4, 1.0, 10.0) for s in (1.0, -1.0)]
-    pool = bounds + [np.nextafter(b, t) for b in bounds for t in (-np.inf, np.inf)]
-    # the floats just below each power of ten: where a mantissa would carry
-    # to 10**17, and where floor(log10) can name the next exponent
-    for p in range(-7, 3):
-        x = float(f"1e{p}")
-        for _ in range(4):
-            x = np.nextafter(x, 0.0)
-            pool += [x, -x]
-    pool += [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, -1.2345678901234567e300,
-             np.nan, np.inf, -np.inf]
-    return np.array(pool)
-
-
-MAP_POOL = _map_pool()
-
-
 def _ties_17(g, size):
     """Exact ties of a 17-digit mantissa: k * 2**-j whose decimal expansion
     has 18 significant digits, the last a 5, for exponents 0 ... -7."""
@@ -142,18 +123,29 @@ def _ties_17(g, size):
     return np.array(ties)
 
 
-def assert_writes_per_element_bytes(path, m):
-    save_matrix(path, m)
+def assert_writes_per_element_bytes(path, m, spec=".17g"):
+    """save_matrix (".17g") or save_embeddings (".9g") writes `m` as one
+    format() per field, and the file reads back as expected."""
+    if spec == ".17g":
+        save_matrix(path, m)
+        assert path.read_bytes() == (f"{m.shape[0]} {m.shape[1]}\n"
+                                     + per_element(m, spec)).encode("utf-8")
+        assert load_matrix(path).tobytes() == m.tobytes()
+        return
+    words = [f"w{i}" for i in range(len(m))]
+    kept = save_embeddings(path, EmbeddingSpace(tuple(words), m))
     assert path.read_bytes() == (f"{m.shape[0]} {m.shape[1]}\n"
-                                 + per_element(m, ".17g")).encode("utf-8")
-    assert load_matrix(path).tobytes() == m.tobytes()
+                                 + per_element(m, spec, words)).encode("utf-8")
+    back = load_embeddings(path, max_vocab=len(m))
+    assert kept.words == back.words
+    assert kept.vectors.tobytes() == back.vectors.tobytes()
 
 
 @settings(max_examples=12, deadline=None)
 @given(width=st.sampled_from([1, 10, 300]), extra_rows=st.sampled_from([-1, 0, 1]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_save_matrix_matches_per_element_formatting(tmp_path_factory, width, extra_rows, seed):
-    rows = max(1, mapping._BLOCK_FIELDS // width) + extra_rows  # around one block
+    rows = max(1, embeddings._BLOCK_FIELDS // width) + extra_rows  # around one block
     g = np.random.default_rng(seed)
     m = g.normal(scale=0.06, size=(rows, width))  # mostly in band, as a rotation at d=300 is
     m[g.random(m.shape) < 0.1] = 0.0  # and the zeros of a near-identity map
@@ -161,21 +153,22 @@ def test_save_matrix_matches_per_element_formatting(tmp_path_factory, width, ext
     m[spread] = 10.0 ** g.uniform(-9, 3, size=int(spread.sum())) * g.choice([-1.0, 1.0],
                                                                              size=int(spread.sum()))
     edge = g.random(m.shape) < 0.02
-    m[edge] = g.choice(MAP_POOL, size=int(edge.sum()))
+    m[edge] = g.choice(EDGE_POOL, size=int(edge.sum()))
     tie = ~edge & (g.random(m.shape) < 0.01)
     m[tie] = _ties_17(g, int(tie.sum()))
     assert_writes_per_element_bytes(tmp_path_factory.mktemp("fmt") / "m.txt", m)
 
 
-def test_save_matrix_corrects_an_exponent_guess_off_by_one(tmp_path, monkeypatch):
+@pytest.mark.parametrize("spec", [".9g", ".17g"])
+def test_save_matrix_corrects_an_exponent_guess_off_by_one(tmp_path, monkeypatch, spec):
     # floor(log10|x|) only guesses a field's exponent; a guess one too high
-    # or one too low must still give '%.17g''s bytes
+    # or one too low must still give the per-element bytes
     g = np.random.default_rng(0)
     m = 10.0 ** g.uniform(-7, 1.1, size=(40, 50)) * g.choice([-1.0, 1.0], size=(40, 50))
-    m.flat[:100] = MAP_POOL[:100]
+    m.flat[:len(EDGE_POOL)] = EDGE_POOL
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda a: log10(a) + g.integers(-1, 2, size=a.shape))
-    assert_writes_per_element_bytes(tmp_path / "m.txt", m)
+    assert_writes_per_element_bytes(tmp_path / "m.txt", m, spec)
 
 
 @pytest.mark.parametrize("body, match", [
