@@ -58,8 +58,6 @@ def _resolve(args) -> PipelineConfig:
         cfg = replace(cfg, stop_after=args.stage)
     if getattr(args, "per_subspace", False):
         cfg = replace(cfg, evaluation=replace(cfg.evaluation, per_subspace=True))
-    if getattr(args, "kmeans", None) is not None:
-        cfg = replace(cfg, evaluation=replace(cfg.evaluation, kmeans_k=args.kmeans))
     validate_config(cfg)
     return cfg
 
@@ -83,10 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if name == "eval-bli":
             p.add_argument("--per-subspace", action="store_true",
-                           help="also write the per-cluster accuracy table")
-            p.add_argument("--kmeans", type=int, default=None, metavar="K",
-                           help="group the table by a k-means split of the "
-                                "source space instead of the pipeline partition")
+                           help="write the per-cluster accuracy table even if the "
+                                "config sets [evaluation] per_subspace = false")
 
     gen = sub.add_parser("synth-gen", help="write a synthetic piecewise-linear instance")
     gen.add_argument("--out", required=True)

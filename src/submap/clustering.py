@@ -1,5 +1,4 @@
-"""Parameter-free first-neighbor hierarchical clustering and a Lloyd
-k-means used for diagnostics.
+"""Parameter-free first-neighbor hierarchical clustering (FINCH).
 
 The first-neighbor adjacency links i and j when either is the other's
 nearest neighbor or both share one; clusters are the connected
@@ -201,35 +200,6 @@ def merge_small_clusters(partition: Partition, vectors: np.ndarray,
         partition = merge_clusters(partition, vectors,
                                    [small[np.argsort(sizes[small], kind="stable")[0]]])
     return partition
-
-
-def kmeans(vectors: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> Partition:
-    """Lloyd iterations from farthest-point initial centroids (diagnostics only)."""
-    x = np.asarray(vectors, dtype=np.float64)
-    n = x.shape[0]
-    if not 1 <= k <= n:
-        raise ConfigError(f"k={k} out of range for {n} points")
-    rng = np.random.default_rng(seed)
-    chosen = [int(rng.integers(n))]
-    best = x @ x[chosen[0]]
-    while len(chosen) < k:
-        nxt = int(best.argmin())
-        chosen.append(nxt)
-        best = np.maximum(best, x @ x[nxt])
-    centroids = x[chosen].copy()
-    assignments = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iters):
-        new_assign = (x @ centroids.T).argmax(axis=1)
-        for cid in range(k):
-            if not np.any(new_assign == cid):
-                sims = np.max(x @ centroids.T, axis=1)
-                new_assign[int(sims.argmin())] = cid
-        if np.array_equal(new_assign, assignments):
-            break
-        assignments = new_assign
-        centroids = cluster_centroids(x, assignments)
-    assignments = _relabel(assignments)
-    return Partition(assignments, cluster_centroids(x, assignments))
 
 
 def save_assignments(path, words, assignments: np.ndarray) -> None:

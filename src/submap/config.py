@@ -43,7 +43,6 @@ class EvalConfig:
     csls_k: int = 10
     per_subspace: bool = True
     vocab_limit: int = 50000
-    kmeans_k: int = 0   # > 0: per-subspace table over a k-means split instead
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,7 @@ def validate_config(cfg: PipelineConfig) -> None:
                              ("clustering.align_csls_k", cfg.cluster.align_csls_k, 1),
                              ("clustering.min_cluster_size", cfg.cluster.min_cluster_size, 0),
                              ("evaluation.csls_k", cfg.evaluation.csls_k, 1),
-                             ("evaluation.vocab_limit", cfg.evaluation.vocab_limit, 1),
-                             ("evaluation.kmeans_k", cfg.evaluation.kmeans_k, 0)):
+                             ("evaluation.vocab_limit", cfg.evaluation.vocab_limit, 1)):
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
     level = cfg.cluster.level

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check
+that the GAN and refinement settings run before their range checks."""
+
+import math
+from dataclasses import fields
 
 
 class SubmapError(Exception):
@@ -7,6 +11,15 @@ class SubmapError(Exception):
 
 class ConfigError(SubmapError):
     """Invalid configuration value or out-of-range parameter."""
+
+
+def check_finite(settings) -> None:
+    """Raise ConfigError for a NaN or infinite float field: NaN passes
+    every `<` range test, and inf passes a positivity one."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 class ParseError(SubmapError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .embeddings import EmbeddingSpace
-from .errors import ConfigError, NumericError, TrainingFailedError
+from .errors import ConfigError, NumericError, TrainingFailedError, check_finite
 from .mapping import LinearMap, identity_map
 from .numerics import (MlpDiscriminator, bce_input_gradient, bce_loss_from_logits,
                        init_discriminator, _dropout_mask, _forward, _param_grads,
@@ -52,6 +52,7 @@ class GanConfig:
     csls_k: int = 10
 
     def validate(self) -> "GanConfig":
+        check_finite(self)
         positive = ["steps_per_epoch", "batch_size", "lr_generator", "lr_discriminator",
                     "dis_freq_vocab", "dis_steps_per_gen_step", "dis_hidden",
                     "criterion_vocab", "csls_k"]

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import SubspacePairing, partition_target_with_merge
-from .clustering import (Partition, finch_hierarchy, kmeans, load_assignments,
+from .clustering import (Partition, finch_hierarchy, load_assignments,
                          merge_small_clusters, save_assignments, select_level)
 from .config import PipelineConfig, config_digest, derive_seed
 from .embeddings import (EmbeddingSpace, iterative_normalize, load_embeddings,
@@ -359,13 +359,8 @@ def stage_eval(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     fwd, _, _ = load_final_mapping(run, source, target)
     gold = gold_multimap(load_dictionary_tokens(cfg.data.gold))
     artifacts = []
-    partition = None
-    if cfg.evaluation.kmeans_k > 0:
-        partition = kmeans(source.vectors, cfg.evaluation.kmeans_k,
-                           seed=derive_seed(cfg.seed, "eval_kmeans", "0"))
-    elif cfg.evaluation.per_subspace and run.path("source_partition.tsv").exists():
+    if cfg.evaluation.per_subspace and run.path("source_partition.tsv").exists():
         partition = _load_partition(run, source)
-    if partition is not None:
         report = per_subspace_accuracy(fwd, partition, gold, source, target,
                                        vocab_limit=cfg.evaluation.vocab_limit,
                                        k=cfg.evaluation.csls_k)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .embeddings import EmbeddingSpace, unit_rows
-from .errors import ConfigError, EmptyDictionaryError
+from .errors import ConfigError, EmptyDictionaryError, check_finite
 from .mapping import LinearMap, PiecewiseMap, identity_map
 from .retrieval import SeedDictionary, induce_seed_dictionary
 
@@ -33,6 +33,7 @@ class RefineConfig:
     seed: int = 0
 
     def validate(self) -> "RefineConfig":
+        check_finite(self)
         if not 0.0 < self.p0 <= 1.0:
             raise ConfigError(f"p0 must be in (0, 1], got {self.p0}")
         if self.multiplier <= 1.0:

@@ -4,7 +4,7 @@ import os
 import re
 import shlex
 import shutil
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -170,11 +170,47 @@ class TestConfig:
                                     ("clustering", "min_cluster_size", "0"),
                                     ("clustering", "align_csls_k", "1"),
                                     ("evaluation", "csls_k", "1"),
-                                    ("evaluation", "vocab_limit", "1"),
-                                    ("evaluation", "kmeans_k", "0")):
+                                    ("evaluation", "vocab_limit", "1")):
             set_value(cfg_path, section, key, value)
         cfg = load_config(cfg_path)
         assert cfg.cluster.level == "0" and cfg.data.max_vocab == 1
+
+    # Every key a config file may set, per section.  Adding or deleting a
+    # knob edits this table.
+    INI_SURFACE = {
+        "run": ("seed", "restart_budget", "single_restarts", "refine_mode"),
+        "data": ("source", "target", "gold", "max_vocab", "normalize_iterations",
+                 "normalize"),
+        "single_gan": ("epochs", "steps_per_epoch", "batch_size", "lr_generator",
+                       "lr_discriminator", "lr_decay", "beta", "smoothing",
+                       "dis_freq_vocab", "dis_steps_per_gen_step", "dis_hidden",
+                       "dis_dropout", "dis_leaky_slope", "criterion_vocab", "csls_k"),
+        "clustering": ("level", "min_cluster_size", "align_csls_k"),
+        "multi": ("lambda_mode", "lambda_fixed"),
+        "refinement": ("p0", "multiplier", "threshold", "max_iters", "vocab_limit",
+                       "csls_k"),
+        "evaluation": ("csls_k", "per_subspace", "vocab_limit"),
+    }
+
+    def test_ini_surface(self, tmp_path):
+        assert sum(len(keys) for keys in self.INI_SURFACE.values()) == 39
+        default = PipelineConfig()
+        settings = {"run": default, "data": default.data, "single_gan": default.single_gan,
+                    "clustering": default.cluster, "multi": default.multi,
+                    "refinement": default.refine, "evaluation": default.evaluation}
+        assert settings.keys() == self.INI_SURFACE.keys()
+        path = tmp_path / "one_key.ini"
+        for section, obj in settings.items():
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if is_dataclass(value):
+                    continue
+                path.write_text(f"[{section}]\n{f.name} = {value}\n", encoding="utf-8")
+                if f.name in self.INI_SURFACE[section]:
+                    assert load_config(path) == default, (section, f.name)
+                else:
+                    with pytest.raises(ConfigError, match="unknown key"):
+                        load_config(path)
 
     def test_derive_seed_is_stable_and_stage_specific(self):
         assert derive_seed(3, "cluster", "0") == derive_seed(3, "cluster", "0")
@@ -585,18 +621,15 @@ class TestCliCommands:
             assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "report.json").exists()
 
-    def test_eval_bli_kmeans_table(self, tmp_path, synth_dir):
-        cfg_path = write_config(tmp_path, synth_dir, refine_mode="single")
+    def test_eval_bli_has_no_kmeans_flag(self, tmp_path, synth_dir, capsys):
+        cfg_path = write_config(tmp_path, synth_dir)
         out = tmp_path / "kmeans"
-        for cmd in ("normalize", "train-single", "refine"):
-            assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
-        eval_bli = ["eval-bli", "--config", str(cfg_path), "--out", str(out), "--kmeans"]
-        assert main(eval_bli + ["-1"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval-bli", "--config", str(cfg_path), "--out", str(out), "--kmeans", "3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --kmeans 3" in capsys.readouterr().err
         assert not (out / "report.json").exists()
-        assert main(eval_bli + ["3"]) == 0
-        header, *rows = (out / "per_subspace.tsv").read_text(encoding="utf-8").splitlines()
-        assert header == "cluster_id\tevaluated\taccuracy"
-        assert [row.split("\t")[0] for row in rows] == ["0", "1", "2"]
+        assert not (out / "manifest.json").exists()
 
     def test_every_stage_has_one_subcommand(self):
         assert sorted(stage for stage, _ in _STAGE_COMMANDS.values()) == sorted(pipeline.STAGES)
@@ -624,7 +657,14 @@ class TestCliCommands:
         ("clustering", "level", "-1"),
         ("evaluation", "csls_k", "0"),
         ("evaluation", "vocab_limit", "0"),
-        ("evaluation", "kmeans_k", "-1"),
+        # the per-subspace table groups by the run's own partition only
+        ("evaluation", "kmeans_k", "3"),
+        # NaN passes every range test and inf a positivity one
+        ("single_gan", "lr_generator", "nan"),
+        ("single_gan", "lr_discriminator", "inf"),
+        ("single_gan", "beta", "inf"),
+        ("refinement", "multiplier", "nan"),
+        ("refinement", "threshold", "nan"),
         # stage seeds derive from [run] seed alone
         ("single_gan", "seed", "123"),
         ("refinement", "seed", "77"),

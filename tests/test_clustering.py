@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from submap import clustering
 from submap.clustering import (ClusterHierarchy, Partition, finch_hierarchy,
-                               finch_partition, first_neighbors, kmeans,
-                               load_assignments, merge_small_clusters, save_assignments,
-                               select_level)
+                               finch_partition, first_neighbors, load_assignments,
+                               merge_small_clusters, save_assignments, select_level)
 from submap.embeddings import unit_rows
 from submap.errors import ConfigError, ParseError, TooFewSamplesError
 
@@ -250,40 +249,6 @@ class TestSelectLevel:
             select_level(h, "5")
         with pytest.raises(ConfigError):
             select_level(h, "bogus")
-
-
-class TestKmeans:
-    def test_k_one(self, rng):
-        x = unit_rows(rng.normal(size=(10, 4)))
-        part = kmeans(x, 1, seed=0)
-        assert part.c == 1
-        expected = x.sum(axis=0)
-        expected /= np.linalg.norm(expected)
-        assert np.allclose(part.centroids[0], expected)
-
-    def test_k_equals_n(self, rng):
-        x = unit_rows(rng.normal(size=(7, 4)))
-        part = kmeans(x, 7, seed=0)
-        assert part.c == 7
-        assert sorted(part.sizes().tolist()) == [1] * 7
-
-    def test_two_blobs(self):
-        x, labels = blobs([25, 25], 5, spread=0.1, seed=11)
-        part = kmeans(x, 2, seed=1)
-        assert same_partition(part.assignments, labels)
-
-    def test_k_out_of_range(self, rng):
-        x = unit_rows(rng.normal(size=(5, 3)))
-        with pytest.raises(ConfigError):
-            kmeans(x, 6, seed=0)
-        with pytest.raises(ConfigError):
-            kmeans(x, 0, seed=0)
-
-    def test_deterministic(self, rng):
-        x = unit_rows(rng.normal(size=(30, 4)))
-        a = kmeans(x, 4, seed=3)
-        b = kmeans(x, 4, seed=3)
-        assert np.array_equal(a.assignments, b.assignments)
 
 
 class TestMergeSmallClusters:
