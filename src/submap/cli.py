@@ -23,8 +23,7 @@ from .synthetic import generate_instance
 _STAGE_COMMANDS = {
     "normalize": ("normalize", "load, normalize and persist both embedding spaces"),
     "train-single": ("single_gan", "adversarial single-map training with random restarts"),
-    "cluster": ("cluster", "first-neighbor hierarchical clustering of the source space"),
-    "align-subspaces": ("align", "partition the target vocabulary by back-translation"),
+    "cluster": ("cluster", "cluster the source space (FINCH) and align target subspaces"),
     "train-multi": ("multi_gan", "per-subspace multi-discriminator training"),
     "refine": ("refine", "Procrustes refinement (mode from config or --refine)"),
     "induce-dict": ("induce_dict", "export the bidirectional seed dictionary of the final map"),

@@ -47,11 +47,18 @@ from .retrieval import (gold_multimap, induce_seed_dictionary, load_dictionary_t
                         save_dictionary)
 
 
-def _read_json(path: Path) -> dict:
+def _read_json(path: Path, keys: tuple[str, ...] = ()) -> dict:
+    """The JSON object in `path`, which must hold each of `keys`."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
         raise ParseError(f"{path}: not a JSON document ({e})") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: not a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ParseError(f"{path}: no {', '.join(missing)} key")
+    return doc
 
 
 class RunDir:
@@ -171,11 +178,6 @@ def _load_normalized(run: RunDir, cfg: PipelineConfig):
             run.load_space("target.norm.vec", cfg.data.max_vocab))
 
 
-def _save_partition(run: RunDir, partition: Partition, words) -> None:
-    run.save_assignments("source_partition.tsv", words, partition.assignments)
-    run.save_matrix("source_centroids.txt", partition.centroids)
-
-
 def _load_partition(run: RunDir, source: EmbeddingSpace) -> Partition:
     return Partition(run.load_assignments("source_partition.tsv", source.words),
                      run.load_matrix("source_centroids.txt"))
@@ -207,7 +209,7 @@ def _load_mapset(run: RunDir, subdir: str, source: EmbeddingSpace,
                  target: EmbeddingSpace) -> LinearMap | PiecewiseMap:
     """The map `_save_mapset` wrote: a LinearMap for kind "single", else a
     PiecewiseMap over the run's subspace pairing."""
-    meta = _read_json(run.path(f"{subdir}/meta.json"))
+    meta = _read_json(run.path(f"{subdir}/meta.json"), ("kind", "count"))
     maps = [run.load_map(f"{subdir}/map_{i:03d}.txt") for i in range(meta["count"])]
     if meta["kind"] == "single":
         return maps[0]
@@ -263,30 +265,25 @@ def stage_single_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
 
 
 def stage_cluster(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
-    source, _ = _load_normalized(run, cfg)
+    source, target = _load_normalized(run, cfg)
     hierarchy = finch_hierarchy(source.vectors)
     partition = select_level(hierarchy, cfg.cluster.level)
     min_size = cfg.cluster.min_cluster_size or max(2 * source.dim, 32)
     partition = merge_small_clusters(partition, source.vectors, min_size)
-    _save_partition(run, partition, source.words)
-    return {"artifacts": ["source_partition.tsv", "source_centroids.txt"],
+    # pair each cluster with the target words the single map sends back into it
+    pairing, merged = partition_target_with_merge(run.load_map("single_map.txt"), partition,
+                                                  source, target, k=cfg.cluster.align_csls_k)
+    paired = pairing.source_partition
+    run.save_assignments("source_partition.tsv", source.words, paired.assignments)
+    run.save_matrix("source_centroids.txt", paired.centroids)
+    run.save_assignments("target_assignments.tsv", target.words, pairing.target_assignments)
+    return {"artifacts": ["source_partition.tsv", "source_centroids.txt",
+                          "target_assignments.tsv"],
             "metrics": {"level_sizes": [p.c for p in hierarchy.levels],
                         "selected_level": cfg.cluster.level,
                         "clusters": partition.c,
-                        "cluster_sizes": partition.sizes().tolist()}}
-
-
-def stage_align(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
-    source, target = _load_normalized(run, cfg)
-    single = run.load_map("single_map.txt")
-    partition = _load_partition(run, source)
-    pairing, merged = partition_target_with_merge(single, partition, source, target,
-                                                  k=cfg.cluster.align_csls_k)
-    _save_partition(run, pairing.source_partition, source.words)
-    run.save_assignments("target_assignments.tsv", target.words, pairing.target_assignments)
-    return {"artifacts": ["target_assignments.tsv", "source_partition.tsv",
-                          "source_centroids.txt"],
-            "metrics": {"pair_sizes": pairing.pair_sizes(),
+                        "cluster_sizes": partition.sizes().tolist(),
+                        "pair_sizes": pairing.pair_sizes(),
                         "merged_empty_clusters": merged}}
 
 
@@ -370,6 +367,8 @@ def stage_eval(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     else:
         report = evaluate_bli(fwd, gold, source, target, k=cfg.evaluation.csls_k,
                               max_rank=cfg.evaluation.vocab_limit)
+        # a table from an earlier evaluation would not match this report
+        run.path("per_subspace.tsv").unlink(missing_ok=True)
     run.path("report.json").write_text(report_to_json(report), encoding="utf-8")
     run.path("report.txt").write_text(format_report(report), encoding="utf-8")
     artifacts.extend(["report.json", "report.txt"])
@@ -379,7 +378,7 @@ def stage_eval(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
 
 
 STAGES = {"normalize": stage_normalize, "single_gan": stage_single_gan,
-          "cluster": stage_cluster, "align": stage_align, "multi_gan": stage_multi_gan,
+          "cluster": stage_cluster, "multi_gan": stage_multi_gan,
           "refine": stage_refine, "induce_dict": stage_induce_dict, "eval": stage_eval}
 
 
@@ -388,7 +387,7 @@ def stages_for(cfg: PipelineConfig) -> tuple[str, ...]:
     the clustering and multi-GAN stages entirely."""
     order = list(STAGES)
     if cfg.refine_mode == "single":
-        for name in ("cluster", "align", "multi_gan"):
+        for name in ("cluster", "multi_gan"):
             order.remove(name)
     if not cfg.data.gold:
         order.remove("eval")

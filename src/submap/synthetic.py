@@ -66,6 +66,8 @@ def generate_instance(clusters: int, per_cluster: int, d: int, separation: float
         raise ConfigError(f"separation must be positive and finite, got {separation}")
     if not 0 <= noise_sigma < np.inf:
         raise ConfigError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     centers = unit_rows(rng.normal(size=(clusters, d))) * separation
     rotations = _distinct_rotations(clusters, d, rng)

@@ -15,7 +15,7 @@ from submap.config import PipelineConfig, config_digest, derive_seed, load_confi
 from submap.errors import ConfigError, EmptyDictionaryError, TrainingFailedError
 from submap import gan, pipeline
 from submap.pipeline import RunDir, run_pipeline, run_stage, stages_for
-from submap.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
+from submap.embeddings import EmbeddingSpace, load_embeddings, save_embeddings, unit_rows
 from submap.clustering import load_assignments, save_assignments
 from submap.mapping import LinearMap, load_linear_map, load_matrix, save_linear_map
 from submap.retrieval import load_dictionary_tokens
@@ -139,7 +139,7 @@ class TestConfig:
 
         monkeypatch.setattr(pipeline, "train_multi_gan", spy)
         run = RunDir(tmp_path / "spy")
-        for name in ("normalize", "single_gan", "cluster", "align"):
+        for name in ("normalize", "single_gan", "cluster"):
             run_stage(run, cfg, name)
         with pytest.raises(Seen):
             run_stage(run, cfg, "multi_gan")
@@ -214,13 +214,13 @@ class TestConfig:
 
     def test_derive_seed_is_stable_and_stage_specific(self):
         assert derive_seed(3, "cluster", "0") == derive_seed(3, "cluster", "0")
-        assert derive_seed(3, "cluster", "0") != derive_seed(3, "align", "0")
+        assert derive_seed(3, "cluster", "0") != derive_seed(3, "multi_gan", "0")
         assert derive_seed(3, "cluster", "0") != derive_seed(4, "cluster", "0")
 
     def test_stages_for_modes(self, tmp_path, synth_dir):
         cfg = load_config(write_config(tmp_path, synth_dir))
-        assert stages_for(cfg) == ("normalize", "single_gan", "cluster", "align",
-                                   "multi_gan", "refine", "induce_dict", "eval")
+        assert stages_for(cfg) == ("normalize", "single_gan", "cluster", "multi_gan",
+                                   "refine", "induce_dict", "eval")
         assert stages_for(replace(cfg, refine_mode="single")) == (
             "normalize", "single_gan", "refine", "induce_dict", "eval")
         assert stages_for(replace(cfg, stop_after="single_gan")) == (
@@ -251,6 +251,16 @@ class TestPipeline:
                     json.loads(path.read_text(encoding="utf-8"))
         assert "p_at_1" in manifest["stages"]["eval"]["metrics"]
 
+    def test_manifest_lists_each_artifact_under_one_stage(self, tmp_path, synth_dir):
+        cfg = load_config(write_config(tmp_path, synth_dir))
+        out = tmp_path / "run"
+        stages = run_pipeline(cfg, out).read_manifest()["stages"]
+        listed = [a for stage in stages.values() for a in stage["artifacts"]]
+        written = [str(p.relative_to(out)) for p in out.rglob("*")
+                   if p.is_file() and p.name != "manifest.json"]
+        assert sorted(listed) == sorted(written)
+        assert "target_assignments.tsv" in stages["cluster"]["artifacts"]
+
     def test_manifest_reports_each_game(self, tmp_path, synth_dir):
         cfg_path = write_config(tmp_path, synth_dir)
         for section, key, value in (("run", "single_restarts", "3"),
@@ -262,7 +272,7 @@ class TestPipeline:
         crits = single["restart_criteria"]
         assert len(crits) == 3 and single["criterion"] == max(crits)
         assert single["winning_restart"] == crits.index(max(crits))
-        subspaces = len(stages["align"]["metrics"]["pair_sizes"])
+        subspaces = len(stages["cluster"]["metrics"]["pair_sizes"])
         assert len(multi["epochs_run"]) == len(multi["best_epochs"]) == subspaces
         for metrics in (single, multi):  # both stages train on [single_gan]
             for best, ran in zip(metrics["best_epochs"], metrics["epochs_run"]):
@@ -498,6 +508,19 @@ class TestPipeline:
             assert np.array_equal(m.w, load_linear_map(out / name).w)
         assert "p_at_1" in stages["eval"]["metrics"]
 
+    def test_whole_vocabulary_report_removes_an_old_per_subspace_table(self, tmp_path,
+                                                                       synth_dir):
+        cfg_path = write_config(tmp_path, synth_dir)
+        out = tmp_path / "eval"
+        common = ["--config", str(cfg_path), "--out", str(out)]
+        assert main(["pipeline", *common]) == 0
+        assert (out / "per_subspace.tsv").exists()
+        set_value(cfg_path, "evaluation", "per_subspace", "false")
+        assert main(["eval-bli", *common]) == 0
+        assert not (out / "per_subspace.tsv").exists()
+        stages = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
+        assert stages["eval"]["artifacts"] == ["report.json", "report.txt"]
+
     def test_resume_skips_completed_stages(self, tmp_path, synth_dir):
         cfg = load_config(write_config(tmp_path, synth_dir))
         out = tmp_path / "resume"
@@ -543,17 +566,30 @@ class TestPipeline:
             run.update_manifest(config_hash="b")
         assert run.read_manifest()["config_hash"] == "a"
 
-    @pytest.mark.parametrize("name, command", [("manifest.json", ["pipeline", "--resume"]),
-                                               ("final/meta.json", ["eval-bli"])])
+    @pytest.mark.parametrize("name, command, damage", [
+        ("manifest.json", ["pipeline", "--resume"], "truncate"),
+        ("final/meta.json", ["eval-bli"], "truncate"),
+        ("manifest.json", ["pipeline"], "list"),
+        ("manifest.json", ["pipeline", "--resume"], "list"),
+        ("final/meta.json", ["eval-bli"], "no count"),
+    ], ids=["manifest.json-command0", "final/meta.json-command1", "manifest.json-list",
+            "manifest.json-list-resume", "final/meta.json-no-count"])
     def test_truncated_json_is_a_parse_error(self, tmp_path, synth_dir, capsys, name,
-                                             command):
+                                             command, damage):
         cfg_path = write_config(tmp_path, synth_dir)
         out = tmp_path / "cut"
         common = ["--config", str(cfg_path), "--out", str(out)]
         assert main(["pipeline", *common]) == 0
         path = out / name
         text = path.read_bytes()
-        path.write_bytes(text[:len(text) // 2])
+        if damage == "truncate":
+            path.write_bytes(text[:len(text) // 2])
+        elif damage == "list":
+            path.write_text("[]\n", encoding="utf-8")
+        else:
+            doc = json.loads(text)
+            del doc["count"]
+            path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(command[:1] + common + command[1:]) == 1
         assert f"error: ParseError: {path}: " in capsys.readouterr().err
 
@@ -620,6 +656,39 @@ class TestCliCommands:
         for cmd in ("normalize", "train-single", "refine", "induce-dict", "eval-bli"):
             assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "report.json").exists()
+
+    def test_target_side_merge_same_by_pipeline_and_subcommands(self, tmp_path):
+        # two far source clusters, and every target word a copy of a word
+        # of the first, so the second gets no target words and is merged away
+        g = np.random.default_rng(0)
+        e0 = np.eye(6)[0]
+        first = unit_rows(5 * e0 + g.normal(size=(40, 6)))
+        second = unit_rows(-5 * e0 + g.normal(size=(40, 6)))
+        save_embeddings(tmp_path / "source.vec",
+                        EmbeddingSpace(tuple(f"s{i}" for i in range(80)),
+                                       np.vstack([first, second])))
+        save_embeddings(tmp_path / "target.vec",
+                        EmbeddingSpace(tuple(f"t{i}" for i in range(40)), first))
+        (tmp_path / "gold.tsv").write_text("".join(f"s{i}\tt{i}\n" for i in range(40)),
+                                          encoding="utf-8")
+        cfg_path = write_config(tmp_path, tmp_path)
+        set_value(cfg_path, "data", "normalize", "false")
+        auto, manual = tmp_path / "auto", tmp_path / "manual"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(auto)]) == 0
+        for command in _STAGE_COMMANDS:
+            assert main([command, "--config", str(cfg_path), "--out", str(manual)]) == 0
+        cluster = json.loads((auto / "manifest.json").read_text(encoding="utf-8")
+                             )["stages"]["cluster"]["metrics"]
+        assert cluster["clusters"] == 2 and cluster["merged_empty_clusters"] == [1]
+        assert cluster["pair_sizes"] == [[80, 40]]
+        files = sorted(p.relative_to(auto) for p in auto.rglob("*")
+                       if p.is_file() and p.name != "manifest.json")
+        assert files == sorted(p.relative_to(manual) for p in manual.rglob("*")
+                               if p.is_file() and p.name != "manifest.json")
+        for rel in files:
+            assert (auto / rel).read_bytes() == (manual / rel).read_bytes(), rel
+        words = tuple(f"s{i}" for i in range(80))
+        assert set(load_assignments(auto / "source_partition.tsv", words)) == {0}
 
     def test_eval_bli_has_no_kmeans_flag(self, tmp_path, synth_dir, capsys):
         cfg_path = write_config(tmp_path, synth_dir)
@@ -729,6 +798,26 @@ class TestCliCommands:
                    "--dim", "3", flag, value])
         assert rc == 2
         assert not (out / "source.vec").exists()
+
+    def test_synth_gen_rejects_a_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        rc = main(["synth-gen", "--out", str(out), "--clusters", "2", "--per-cluster", "5",
+                   "--dim", "3", "--seed", "-1"])
+        assert rc == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not (out / "source.vec").exists()
+
+    def test_align_is_no_stage(self, tmp_path, synth_dir, capsys):
+        # the cluster stage writes the target assignments itself
+        cfg_path = write_config(tmp_path, synth_dir)
+        out = tmp_path / "align"
+        common = ["--config", str(cfg_path), "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["align-subspaces", *common])
+        assert exit_info.value.code == 2
+        assert main(["pipeline", *common, "--stage", "align"]) == 2
+        assert "stop_after names unknown or skipped stage 'align'" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_stage_not_in_configuration_rejected(self, tmp_path, synth_dir):
         cfg_path = write_config(tmp_path, synth_dir, refine_mode="single")
