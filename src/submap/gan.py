@@ -25,8 +25,7 @@ from .embeddings import EmbeddingSpace
 from .errors import ConfigError, NumericError, TrainingFailedError, check_finite
 from .mapping import LinearMap, identity_map
 from .numerics import (MlpDiscriminator, bce_input_gradient, bce_loss_from_logits,
-                       init_discriminator, _dropout_mask, _forward, _param_grads,
-                       _sgd_update)
+                       init_discriminator, _forward, _pass, _sgd_update)
 from .retrieval import selection_criterion
 
 _PATIENCE = 2  # epochs in a row with no new best criterion before a game stops; 0 runs all
@@ -109,23 +108,6 @@ def _sample(pool: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.n
     return pool[rng.integers(0, pool.shape[0], size=batch_size)]
 
 
-def _discriminator_loss_and_grads(dis: MlpDiscriminator, real: np.ndarray,
-                                  fake: np.ndarray, smoothing: float,
-                                  rng: np.random.Generator):
-    """Smoothed BCE of the real and fake terms (each batch-averaged) and
-    the summed parameter gradients."""
-    total_loss = 0.0
-    grads = None
-    for batch, label in ((real, 1.0 - smoothing), (fake, smoothing)):
-        targets = np.full(len(batch), label)
-        mask = _dropout_mask(batch.shape, dis.input_dropout, rng)
-        cache = _forward(dis, batch, mask)
-        total_loss += bce_loss_from_logits(cache[3], targets)
-        term = _param_grads(dis, cache, targets)
-        grads = term if grads is None else tuple(a + b for a, b in zip(grads, term))
-    return total_loss, grads
-
-
 def discriminator_step(m: LinearMap, games: tuple[Game, ...], cfg: GanConfig,
                        rng: np.random.Generator) -> tuple[tuple[Game, ...], list[float]]:
     """One SGD step per game on -log D(v_t) - log(1 - D(W v_s)), label-smoothed.
@@ -137,7 +119,11 @@ def discriminator_step(m: LinearMap, games: tuple[Game, ...], cfg: GanConfig,
                 m.apply(_sample(g.fake, cfg.batch_size, rng))) for g in games]
     stepped, losses = [], []
     for g, (real, fake) in zip(games, batches):
-        loss, grads = _discriminator_loss_and_grads(g.dis, real, fake, cfg.smoothing, rng)
+        # the fake pass's loss and gradients are summed into the real pass's
+        terms = _pass(g.dis, real, 1.0 - cfg.smoothing, rng)
+        for i, fake_term in enumerate(_pass(g.dis, fake, cfg.smoothing, rng)):
+            terms[i] += fake_term
+        loss, *grads = terms
         stepped.append(Game(_sgd_update(g.dis, grads, loss, cfg.lr_discriminator),
                             g.real, g.fake, g.weight))
         losses.append(loss)
@@ -154,16 +140,13 @@ def _mixed_loss_and_grad(m: LinearMap, nets, weights, src_batch: np.ndarray,
     W-gradient but count in the loss.
     """
     mapped = src_batch @ m.w.T
-    want_real = np.full(len(mapped), 1.0 - smoothing)
     loss = dx = None
     for dis, weight, tgt in zip(nets, weights, tgt_batches):
-        term, term_dx = bce_input_gradient(dis, mapped, want_real)
-        term += bce_loss_from_logits(_forward(dis, tgt, None)[3],
-                                     np.full(len(tgt), smoothing))
-        if loss is None:
-            loss, dx = weight * term, weight * term_dx
-        else:
-            loss, dx = loss + weight * term, dx + weight * term_dx
+        term, term_dx = bce_input_gradient(dis, mapped, 1.0 - smoothing)
+        term += bce_loss_from_logits(_forward(dis, tgt, None)[3], smoothing)
+        term_dx *= weight
+        loss = weight * term if loss is None else loss + weight * term
+        dx = term_dx if dx is None else np.add(dx, term_dx, out=dx)
     return loss, dx.T @ src_batch
 
 

@@ -2,13 +2,14 @@
 classifier trained with plain SGD on binary cross-entropy.
 
 Everything here is pure given an explicit numpy Generator, so callers
-own all randomness and repeated runs are bit-identical.  Each backward
-path computes only what its caller uses: the discriminator update takes
-the parameter gradients (`_param_grads`), the generator the input
-gradient (`bce_input_gradient`).  The leaky rectifier and its gradient
-multiplier are branch-free `np.maximum` forms, bit-equal to the
-`np.where` forms at every finite or NaN input, -0.0 included, for
-slopes in [0, 1].
+own all randomness and repeated runs are bit-identical.  One pass per
+batch computes only what its caller uses: `_pass` the loss and the
+parameter gradients (discriminator update), `bce_input_gradient` the
+loss and the input gradient (generator).  Their results are new arrays
+that callers sum and update in place; a net's arrays are never written.
+The leaky rectifier and its gradient multiplier are branch-free
+`np.maximum` forms, bit-equal to the `np.where` forms at every finite or
+NaN input, -0.0 included, for slopes in [0, 1].
 """
 
 from __future__ import annotations
@@ -77,12 +78,13 @@ def _leaky_grad(z: np.ndarray, slope: float) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) where z >= 0, else exp(z) / (1 + exp(z)).
+
+    min(z, -z) is -|z| that keeps a NaN's own bits, so both branches
+    come from one exp and each output has the two-branch form's bits."""
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -98,54 +100,62 @@ def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray | Non
 
 def _forward(net: MlpDiscriminator, batch: np.ndarray, mask: np.ndarray | None):
     x = batch if mask is None else batch * mask
-    z1 = x @ net.w1.T + net.b1
+    z1 = x @ net.w1.T
+    z1 += net.b1
     a1 = _leaky(z1, net.leaky_slope)
-    z2 = a1 @ net.w2.T.ravel() + net.b2
+    z2 = a1 @ net.w2.T.ravel()
+    z2 += net.b2
     return x, z1, a1, z2
 
 
-def bce_loss_from_logits(z: np.ndarray, targets: np.ndarray) -> float:
-    """Mean binary cross-entropy, computed stably in logit space."""
-    return float(np.mean(_softplus(z) - targets * z))
+def bce_loss_from_logits(z: np.ndarray, targets) -> float:
+    """Mean binary cross-entropy, computed stably in logit space, against
+    one target per row or one for all."""
+    return float((_softplus(z) - targets * z).sum() / z.size)
 
 
-def _hidden_grads(net: MlpDiscriminator, cache, targets: np.ndarray):
+def _hidden_grads(net: MlpDiscriminator, z1: np.ndarray, z2: np.ndarray, targets):
     """dL/dz2 [b] and dL/dz1 [b x h] of mean BCE: the part of the backward
     pass that both the parameter and the input gradients start from."""
-    _, z1, _, z2 = cache
-    g2 = (_sigmoid(z2) - targets) / z2.shape[0]
-    da1 = np.outer(g2, net.w2.ravel())          # [b x h]
-    dz1 = da1 * _leaky_grad(z1, net.leaky_slope)
+    g2 = _sigmoid(z2)
+    g2 -= targets
+    g2 /= z2.shape[0]
+    dz1 = g2[:, None] * net.w2.ravel()          # [b x h]
+    dz1 *= _leaky_grad(z1, net.leaky_slope)
     return g2, dz1
 
 
-def _param_grads(net: MlpDiscriminator, cache, targets: np.ndarray):
-    """Gradients of mean BCE w.r.t. (w1, b1, w2, b2)."""
-    x, _, a1, _ = cache
-    g2, dz1 = _hidden_grads(net, cache, targets)
-    return dz1.T @ x, dz1.sum(axis=0), (g2 @ a1)[None, :], float(g2.sum())
+def _pass(net: MlpDiscriminator, batch: np.ndarray, targets, rng: np.random.Generator):
+    """One training pass with a fresh dropout mask: [mean BCE, dw1, db1,
+    dw2, db2], the gradients in new arrays that the caller owns."""
+    x, z1, a1, z2 = _forward(net, batch, _dropout_mask(batch.shape, net.input_dropout, rng))
+    g2, dz1 = _hidden_grads(net, z1, z2, targets)
+    return [bce_loss_from_logits(z2, targets), dz1.T @ x, dz1.sum(axis=0),
+            (g2 @ a1)[None, :], float(g2.sum())]
 
 
-def bce_input_gradient(net: MlpDiscriminator, batch: np.ndarray, targets: np.ndarray):
-    """Loss and dL/dbatch of mean BCE with the net in eval mode (no dropout)."""
-    cache = _forward(net, np.asarray(batch, dtype=np.float64), None)
-    loss = bce_loss_from_logits(cache[3], targets)
-    return loss, _hidden_grads(net, cache, targets)[1] @ net.w1
+def bce_input_gradient(net: MlpDiscriminator, batch: np.ndarray, targets):
+    """Loss and dL/dbatch (a new array) of mean BCE in eval mode (no dropout)."""
+    _, z1, _, z2 = _forward(net, np.asarray(batch, dtype=np.float64), None)
+    return bce_loss_from_logits(z2, targets), _hidden_grads(net, z1, z2, targets)[1] @ net.w1
 
 
 def _sgd_update(net: MlpDiscriminator, grads, loss: float, lr: float) -> MlpDiscriminator:
     """The one discriminator SGD update: parameters minus lr times grads.
 
-    Raises NumericError when the loss or any updated parameter is
-    non-finite; with lr >= 0 that covers every non-finite gradient too.
+    It is written into the gradient arrays, which the caller hands over
+    and which become the new net's; `net` is never written.  Raises
+    NumericError when the loss or any updated parameter is non-finite;
+    with lr >= 0 that covers every non-finite gradient too.
     """
     if not math.isfinite(loss):
         raise NumericError("non-finite discriminator loss")
     dw1, db1, dw2, db2 = grads
-    updated = MlpDiscriminator(net.w1 - lr * dw1, net.b1 - lr * db1,
-                               net.w2 - lr * dw2, net.b2 - lr * db2,
-                               input_dropout=net.input_dropout,
-                               leaky_slope=net.leaky_slope)
+    for param, grad in ((net.w1, dw1), (net.b1, db1), (net.w2, dw2)):
+        grad *= lr
+        np.subtract(param, grad, out=grad)
+    updated = MlpDiscriminator(dw1, db1, dw2, net.b2 - lr * db2, net.input_dropout,
+                               net.leaky_slope)
     if not (np.isfinite(updated.w1).all() and np.isfinite(updated.b1).all()
             and np.isfinite(updated.w2).all() and math.isfinite(updated.b2)):
         raise NumericError("non-finite discriminator parameters after update")
@@ -161,7 +171,5 @@ def mlp_sgd_step(net: MlpDiscriminator, batch: np.ndarray, targets: np.ndarray,
         raise ShapeError(f"batch shape {batch.shape} does not match input dim {net.input_dim}")
     if lr < 0:
         raise ShapeError(f"lr must be >= 0, got {lr}")
-    mask = _dropout_mask(batch.shape, net.input_dropout, rng)
-    cache = _forward(net, batch, mask)
-    loss = bce_loss_from_logits(cache[3], targets)
-    return _sgd_update(net, _param_grads(net, cache, targets), loss, lr), loss
+    loss, *grads = _pass(net, batch, targets, rng)
+    return _sgd_update(net, grads, loss, lr), loss

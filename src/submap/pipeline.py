@@ -141,9 +141,12 @@ class RunDir:
 
     def read_manifest(self) -> dict:
         p = self.manifest_path()
-        if p.exists():
-            return _read_json(p)
-        return {"stages": {}, "timings": {}}
+        doc = _read_json(p) if p.exists() else {"stages": {}, "timings": {}}
+        stages, timings = doc.get("stages", {}), doc.get("timings", {})
+        if not (isinstance(stages, dict) and isinstance(timings, dict)
+                and all(isinstance(entry, dict) for entry in stages.values())):
+            raise ParseError(f"{p}: stages, each stage's entry and timings must be objects")
+        return doc
 
     def _write_manifest(self, doc: dict) -> None:
         # a whole new file or none: an interrupted write never leaves half
@@ -209,11 +212,17 @@ def _load_mapset(run: RunDir, subdir: str, source: EmbeddingSpace,
                  target: EmbeddingSpace) -> LinearMap | PiecewiseMap:
     """The map `_save_mapset` wrote: a LinearMap for kind "single", else a
     PiecewiseMap over the run's subspace pairing."""
-    meta = _read_json(run.path(f"{subdir}/meta.json"), ("kind", "count"))
-    maps = [run.load_map(f"{subdir}/map_{i:03d}.txt") for i in range(meta["count"])]
+    path = run.path(f"{subdir}/meta.json")
+    meta = _read_json(path, ("kind", "count"))
+    count, lambdas = meta["count"], meta.get("lambdas")
+    if type(count) is not int or count < 1:
+        raise ParseError(f"{path}: count must be a positive integer, got {count!r}")
+    maps = [run.load_map(f"{subdir}/map_{i:03d}.txt") for i in range(count)]
     if meta["kind"] == "single":
         return maps[0]
-    return PiecewiseMap(_load_pairing(run, source, target), tuple(maps), tuple(meta["lambdas"]))
+    if not (isinstance(lambdas, list) and all(isinstance(x, (int, float)) for x in lambdas)):
+        raise ParseError(f"{path}: lambdas must be a list of numbers, got {lambdas!r}")
+    return PiecewiseMap(_load_pairing(run, source, target), tuple(maps), tuple(lambdas))
 
 
 def load_final_mapping(run: RunDir, source: EmbeddingSpace, target: EmbeddingSpace):

@@ -572,8 +572,23 @@ class TestPipeline:
         ("manifest.json", ["pipeline"], "list"),
         ("manifest.json", ["pipeline", "--resume"], "list"),
         ("final/meta.json", ["eval-bli"], "no count"),
+        ("final/meta.json", ["eval-bli"], {"lambdas": None}),
+        ("final/meta.json", ["eval-bli"], {"lambdas": "0.5"}),
+        ("final/meta.json", ["eval-bli"], {"count": -1}),
+        ("final/meta.json", ["eval-bli"], {"count": 0}),
+        ("final/meta.json", ["eval-bli"], {"count": "2"}),
+        ("final/meta.json", ["eval-bli"], {"count": 2.0}),
+        ("manifest.json", ["pipeline"], {"stages": []}),
+        ("manifest.json", ["pipeline", "--resume"], {"stages": []}),
+        ("manifest.json", ["pipeline", "--resume"], {"stages": {"normalize": "ok"}}),
+        ("manifest.json", ["pipeline"], {"timings": []}),
     ], ids=["manifest.json-command0", "final/meta.json-command1", "manifest.json-list",
-            "manifest.json-list-resume", "final/meta.json-no-count"])
+            "manifest.json-list-resume", "final/meta.json-no-count",
+            "final/meta.json-no-lambdas", "final/meta.json-lambdas-string",
+            "final/meta.json-count-negative", "final/meta.json-count-zero",
+            "final/meta.json-count-string", "final/meta.json-count-float",
+            "manifest.json-stages-list", "manifest.json-stages-list-resume",
+            "manifest.json-stage-string-resume", "manifest.json-timings-list"])
     def test_truncated_json_is_a_parse_error(self, tmp_path, synth_dir, capsys, name,
                                              command, damage):
         cfg_path = write_config(tmp_path, synth_dir)
@@ -586,9 +601,13 @@ class TestPipeline:
             path.write_bytes(text[:len(text) // 2])
         elif damage == "list":
             path.write_text("[]\n", encoding="utf-8")
-        else:
+        else:  # set each key of the damage to its value, or delete it for None
             doc = json.loads(text)
-            del doc["count"]
+            for key, value in ({"count": None} if damage == "no count" else damage).items():
+                if value is None:
+                    del doc[key]
+                else:
+                    doc[key] = value
             path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(command[:1] + common + command[1:]) == 1
         assert f"error: ParseError: {path}: " in capsys.readouterr().err

@@ -135,6 +135,70 @@ class TestStepsMatchFrozenStepMath:
             assert same_bits(loss, loss_ref)
             assert same_nets(net, net_ref)
 
+    @pytest.mark.parametrize("n_games", [1, 2])
+    def test_adversarial_steps_at_paper_shape(self, n_games):
+        """d = 300, hidden 2048, batch 32: BLAS takes other kernels there
+        than at the small shape, and the paper runs the steps at it."""
+        d, h = 300, 2048
+        g = np.random.default_rng(19)
+        games = tuple(Game(init_discriminator(d, h, 0.1, g, 0.2), g.normal(size=(64, d)),
+                           g.normal(size=(64, d)), w)
+                      for w in ((1.0,) if n_games == 1 else (0.7, 0.3)))
+        m = LinearMap(random_orthogonal(d, 3))
+        cfg = replace(SMALL, batch_size=32, dis_hidden=h, dis_dropout=0.1)
+        m_ref, games_ref = m, games
+        rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):
+            games, losses = discriminator_step(m, games, cfg, rng)
+            games_ref, losses_ref = frozen_discriminator_step(m_ref, games_ref, cfg, rng_ref)
+            assert same_bits(losses, losses_ref)
+            assert all(same_nets(a.dis, b.dis) for a, b in zip(games, games_ref))
+            m, loss = generator_step(m, games, cfg, rng)
+            m_ref, loss_ref = frozen_generator_step(m_ref, games_ref, cfg, rng_ref)
+            assert same_bits(loss, loss_ref)
+            assert same_bits(m.w, m_ref.w)
+
+
+def array_bytes(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def game_arrays(m, games):
+    """W and every array a game holds: the net's parameters and both pools."""
+    return [m.w] + [a for g in games for a in (g.dis.w1, g.dis.b1, g.dis.w2, g.real, g.fake)]
+
+
+class TestStepsNeverWriteTheirInputs:
+    """The steps sum and update gradients in place: neither the old nets,
+    the pools, the batch nor W may change, and no updated parameter may
+    share memory with an old one."""
+
+    @pytest.mark.parametrize("n_games", [1, 2])
+    def test_adversarial_steps(self, n_games):
+        m, games, cfg = TestStepsMatchFrozenStepMath().start(n_games, 0.1, 0.2, False)
+        rng = np.random.default_rng(3)
+        before = array_bytes(*game_arrays(m, games))
+        stepped, _ = discriminator_step(m, games, cfg, rng)
+        assert array_bytes(*game_arrays(m, games)) == before
+        for old, new in zip(games, stepped):
+            for a, b in zip((old.dis.w1, old.dis.b1, old.dis.w2),
+                            (new.dis.w1, new.dis.b1, new.dis.w2)):
+                assert not np.shares_memory(a, b)
+        before = array_bytes(*game_arrays(m, stepped))
+        moved, _ = generator_step(m, stepped, cfg, rng)
+        assert array_bytes(*game_arrays(m, stepped)) == before
+        assert not np.shares_memory(moved.w, m.w)
+
+    def test_mlp_sgd_step(self):
+        g = np.random.default_rng(4)
+        net = init_discriminator(6, 16, 0.1, g)
+        batch, targets = g.normal(size=(8, 6)), g.uniform(0.05, 0.95, size=8)
+        before = array_bytes(net.w1, net.b1, net.w2, batch, targets)
+        updated, _ = mlp_sgd_step(net, batch, targets, 0.3, g)
+        assert array_bytes(net.w1, net.b1, net.w2, batch, targets) == before
+        for a, b in zip((net.w1, net.b1, net.w2), (updated.w1, updated.b1, updated.w2)):
+            assert not np.shares_memory(a, b)
+
 
 class TestOrthogonalize:
     def test_orthogonal_fixed_point(self):

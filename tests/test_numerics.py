@@ -10,7 +10,7 @@ from submap.numerics import (MlpDiscriminator, bce_loss_from_logits, covariance_
                              _leaky_grad, _sgd_update, _sigmoid)
 from submap.synthetic import random_orthogonal
 
-from conftest import frozen_leaky, frozen_leaky_grad
+from conftest import frozen_leaky, frozen_leaky_grad, frozen_sigmoid
 
 
 class TestCovarianceEigenvalues:
@@ -161,6 +161,12 @@ class TestActivations:
         assert _leaky(z, slope).tobytes() == frozen_leaky(z, slope).tobytes()
         assert _leaky_grad(z, slope).dtype == np.float64
         assert _leaky_grad(z, slope).tobytes() == frozen_leaky_grad(z, slope).tobytes()
+
+    def test_sigmoid(self):
+        payload = np.uint64(0x7FF8000000000123).view(np.float64)
+        z = np.concatenate([self.inputs().ravel(),
+                            [np.inf, -np.inf, 746.0, -746.0, payload, -payload]])
+        assert _sigmoid(z).tobytes() == frozen_sigmoid(z).tobytes()
 
 
 class TestSgdUpdate:
