@@ -9,6 +9,10 @@ one game against the whole language; each subspace generator
 Discriminators and W are updated alternately with SGD, W is nudged back
 toward the orthogonal manifold after every generator step, and the best
 epoch snapshot under the unsupervised selection criterion is returned.
+A game whose weight is exactly 0.0 is not played: it still draws its
+batches and dropout masks, so every other game sees the same rng
+stream, but its discriminator is neither stepped nor evaluated, since
+its term cannot move W.
 A game stops early after `_PATIENCE` epochs in a row with no new best
 criterion (the start's counts as the first best).  Every game draws
 from its own rng, so a stop returns the full schedule's snapshot unless
@@ -25,7 +29,7 @@ from .embeddings import EmbeddingSpace
 from .errors import ConfigError, NumericError, TrainingFailedError, check_finite
 from .mapping import LinearMap, identity_map
 from .numerics import (MlpDiscriminator, bce_input_gradient, bce_loss_from_logits,
-                       init_discriminator, _forward, _pass, _sgd_update)
+                       init_discriminator, _dropout_mask, _forward, _pass, _sgd_update)
 from .retrieval import selection_criterion
 
 _PATIENCE = 2  # epochs in a row with no new best criterion before a game stops; 0 runs all
@@ -109,16 +113,25 @@ def _sample(pool: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.n
 
 
 def discriminator_step(m: LinearMap, games: tuple[Game, ...], cfg: GanConfig,
-                       rng: np.random.Generator) -> tuple[tuple[Game, ...], list[float]]:
+                       rng: np.random.Generator
+                       ) -> tuple[tuple[Game, ...], list[float | None]]:
     """One SGD step per game on -log D(v_t) - log(1 - D(W v_s)), label-smoothed.
 
     Every game's batches are drawn before any dropout mask.  Returns the
-    games with updated discriminators and the pre-update losses.
+    games with updated discriminators and the pre-update losses.  A game
+    of weight 0.0 draws its batches and masks but is returned as it came,
+    with loss None.
     """
     batches = [(_sample(g.real, cfg.batch_size, rng),
                 m.apply(_sample(g.fake, cfg.batch_size, rng))) for g in games]
     stepped, losses = [], []
     for g, (real, fake) in zip(games, batches):
+        if g.weight == 0.0:  # unplayed: draw its masks so later draws keep their order
+            _dropout_mask(real.shape, g.dis.input_dropout, rng)
+            _dropout_mask(fake.shape, g.dis.input_dropout, rng)
+            stepped.append(g)
+            losses.append(None)
+            continue
         # the fake pass's loss and gradients are summed into the real pass's
         terms = _pass(g.dis, real, 1.0 - cfg.smoothing, rng)
         for i, fake_term in enumerate(_pass(g.dis, fake, cfg.smoothing, rng)):
@@ -137,11 +150,14 @@ def _mixed_loss_and_grad(m: LinearMap, nets, weights, src_batch: np.ndarray,
 
     Every discriminator sees the same mapped source batch and runs in
     eval mode (no dropout); the terms on true target rows carry no
-    W-gradient but count in the loss.
+    W-gradient but count in the loss.  A game of weight 0.0 is skipped:
+    its term would only add 0 * term to the sums.
     """
     mapped = src_batch @ m.w.T
     loss = dx = None
     for dis, weight, tgt in zip(nets, weights, tgt_batches):
+        if weight == 0.0:
+            continue
         term, term_dx = bce_input_gradient(dis, mapped, 1.0 - smoothing)
         term += bce_loss_from_logits(_forward(dis, tgt, None)[3], smoothing)
         term_dx *= weight
@@ -161,7 +177,8 @@ def generator_step(m: LinearMap, games: tuple[Game, ...], cfg: GanConfig,
     """One SGD step on the weighted generator loss w.r.t. W, then orthogonalize.
 
     The source batch comes from the last (narrowest) game's fake pool;
-    each game then draws its own target batch.
+    each game then draws its own target batch, a game of weight 0.0 too,
+    though its discriminator is not evaluated.
     """
     src = _sample(games[-1].fake, cfg.batch_size, rng)
     tgts = [_sample(g.real, cfg.batch_size, rng) for g in games]

@@ -37,9 +37,12 @@ def dynamic_lambda(sub_source: np.ndarray, sub_target: np.ndarray,
                    whole_evd: float | None = None) -> float:
     """Subspace-to-whole EVD ratio, clamped to [0, 1].
 
-    Falls back to 0.5 when the whole-space divergence is degenerate; the
-    whole-space EVD can be precomputed once and passed in.
+    Falls back to 0.5 when either side of the subspace has fewer than 2
+    rows (no covariance spectrum) or the whole-space divergence is
+    degenerate; the whole-space EVD can be precomputed once and passed in.
     """
+    if min(len(sub_source), len(sub_target)) < 2:
+        return LAMBDA_FALLBACK
     if whole_evd is None:
         whole_evd = evd(whole_source, whole_target)
     if whole_evd < WHOLE_EVD_EPS:
@@ -90,7 +93,7 @@ def train_multi_gan(single_map: LinearMap, pairing: SubspacePairing,
     its result is None.
     """
     cfg.validate()
-    whole = evd(source.vectors, target.vectors)
+    whole = evd(source.vectors, target.vectors) if lambda_fixed is None else None
     maps: list[LinearMap] = []
     lambdas: list[float] = []
     runs: list[Trained | None] = []

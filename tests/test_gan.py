@@ -68,6 +68,38 @@ def same_nets(a: MlpDiscriminator, b: MlpDiscriminator) -> bool:
             and same_bits(np.float64(a.b2), np.float64(b.b2)))
 
 
+# one game, two played games, and two games of which one has weight 0.0
+# (lambda = 1 and lambda = 0 in a subspace generator); the ids of the
+# first two are their game counts
+WEIGHTS = pytest.mark.parametrize("weights", [(1.0,), (0.7, 0.3), (1.0, 0.0), (0.0, 1.0)],
+                                  ids=["1", "2", "2-second-unplayed", "2-first-unplayed"])
+
+
+def check_steps_match_frozen(m, games, cfg, steps):
+    """`steps` discriminator and generator steps against the frozen steps:
+    W and every played game's net and loss bit for bit, an unplayed game
+    returned as it came with loss None, and the same rng state after
+    every step.  The frozen steps still train an unplayed net, whose
+    term reaches W only as 0 * term."""
+    m_ref, games_ref = m, games
+    rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(steps):
+        stepped, losses = discriminator_step(m, games, cfg, rng)
+        games_ref, losses_ref = frozen_discriminator_step(m_ref, games_ref, cfg, rng_ref)
+        for old, new, ref, loss, loss_ref in zip(games, stepped, games_ref, losses, losses_ref):
+            if old.weight == 0.0:
+                assert new.dis is old.dis and loss is None
+            else:
+                assert same_nets(new.dis, ref.dis) and same_bits(loss, loss_ref)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        games = stepped
+        m, loss = generator_step(m, games, cfg, rng)
+        m_ref, loss_ref = frozen_generator_step(m_ref, games_ref, cfg, rng_ref)
+        assert same_bits(loss, loss_ref)
+        assert same_bits(m.w, m_ref.w)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
 class TestStepsMatchFrozenStepMath:
     """The discriminator, generator and MLP steps against the frozen step
     math in conftest (`np.where` activations, one five-output backward
@@ -90,11 +122,10 @@ class TestStepsMatchFrozenStepMath:
                           b1=g.integers(-2, 3, size=self.H).astype(np.float64))
         return net
 
-    def start(self, n_games, dropout, slope, integer):
+    def start(self, weights, dropout, slope, integer):
         g = np.random.default_rng(17)
         games = tuple(Game(self.net(g, integer, dropout, slope), self.pools(g, integer),
-                           self.pools(g, integer), w)
-                      for w in ((1.0,) if n_games == 1 else (0.7, 0.3)))
+                           self.pools(g, integer), w) for w in weights)
         w = np.eye(self.D) if integer else random_orthogonal(self.D, 3)
         cfg = replace(SMALL, batch_size=8, dis_dropout=dropout, dis_leaky_slope=slope)
         return LinearMap(w), games, cfg
@@ -102,23 +133,13 @@ class TestStepsMatchFrozenStepMath:
     @pytest.mark.parametrize("integer", [False, True])
     @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
-    @pytest.mark.parametrize("n_games", [1, 2])
-    def test_adversarial_steps(self, n_games, dropout, slope, integer):
-        m, games, cfg = self.start(n_games, dropout, slope, integer)
+    @WEIGHTS
+    def test_adversarial_steps(self, weights, dropout, slope, integer):
+        m, games, cfg = self.start(weights, dropout, slope, integer)
         if integer:
             game = games[0]
             assert (game.real @ game.dis.w1.T + game.dis.b1 == 0.0).any()
-        m_ref, games_ref = m, games
-        rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(self.STEPS):
-            games, losses = discriminator_step(m, games, cfg, rng)
-            games_ref, losses_ref = frozen_discriminator_step(m_ref, games_ref, cfg, rng_ref)
-            assert same_bits(losses, losses_ref)
-            assert all(same_nets(a.dis, b.dis) for a, b in zip(games, games_ref))
-            m, loss = generator_step(m, games, cfg, rng)
-            m_ref, loss_ref = frozen_generator_step(m_ref, games_ref, cfg, rng_ref)
-            assert same_bits(loss, loss_ref)
-            assert same_bits(m.w, m_ref.w)
+        check_steps_match_frozen(m, games, cfg, self.STEPS)
 
     @pytest.mark.parametrize("integer", [False, True])
     @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
@@ -135,28 +156,17 @@ class TestStepsMatchFrozenStepMath:
             assert same_bits(loss, loss_ref)
             assert same_nets(net, net_ref)
 
-    @pytest.mark.parametrize("n_games", [1, 2])
-    def test_adversarial_steps_at_paper_shape(self, n_games):
+    @WEIGHTS
+    def test_adversarial_steps_at_paper_shape(self, weights):
         """d = 300, hidden 2048, batch 32: BLAS takes other kernels there
         than at the small shape, and the paper runs the steps at it."""
         d, h = 300, 2048
         g = np.random.default_rng(19)
         games = tuple(Game(init_discriminator(d, h, 0.1, g, 0.2), g.normal(size=(64, d)),
-                           g.normal(size=(64, d)), w)
-                      for w in ((1.0,) if n_games == 1 else (0.7, 0.3)))
+                           g.normal(size=(64, d)), w) for w in weights)
         m = LinearMap(random_orthogonal(d, 3))
         cfg = replace(SMALL, batch_size=32, dis_hidden=h, dis_dropout=0.1)
-        m_ref, games_ref = m, games
-        rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(3):
-            games, losses = discriminator_step(m, games, cfg, rng)
-            games_ref, losses_ref = frozen_discriminator_step(m_ref, games_ref, cfg, rng_ref)
-            assert same_bits(losses, losses_ref)
-            assert all(same_nets(a.dis, b.dis) for a, b in zip(games, games_ref))
-            m, loss = generator_step(m, games, cfg, rng)
-            m_ref, loss_ref = frozen_generator_step(m_ref, games_ref, cfg, rng_ref)
-            assert same_bits(loss, loss_ref)
-            assert same_bits(m.w, m_ref.w)
+        check_steps_match_frozen(m, games, cfg, 3)
 
 
 def array_bytes(*arrays):
@@ -173,9 +183,9 @@ class TestStepsNeverWriteTheirInputs:
     the pools, the batch nor W may change, and no updated parameter may
     share memory with an old one."""
 
-    @pytest.mark.parametrize("n_games", [1, 2])
-    def test_adversarial_steps(self, n_games):
-        m, games, cfg = TestStepsMatchFrozenStepMath().start(n_games, 0.1, 0.2, False)
+    @pytest.mark.parametrize("weights", [(1.0,), (0.7, 0.3)], ids=["1", "2"])
+    def test_adversarial_steps(self, weights):
+        m, games, cfg = TestStepsMatchFrozenStepMath().start(weights, 0.1, 0.2, False)
         rng = np.random.default_rng(3)
         before = array_bytes(*game_arrays(m, games))
         stepped, _ = discriminator_step(m, games, cfg, rng)

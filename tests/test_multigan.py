@@ -5,7 +5,7 @@ from dataclasses import replace
 from submap.alignment import SubspacePairing
 from submap.clustering import Partition, cluster_centroids
 from submap.embeddings import EmbeddingSpace, unit_rows
-from submap import gan
+from submap import gan, multigan
 from submap.gan import (Game, GanConfig, discriminator_step, generator_loss_and_grad,
                         generator_step, language_game)
 from submap.mapping import LinearMap, identity_map
@@ -16,7 +16,7 @@ from submap.retrieval import selection_criterion
 from submap.synthetic import generate_instance, random_orthogonal
 from submap.errors import TooFewSamplesError
 
-from conftest import make_space
+from conftest import frozen_discriminator_step, frozen_generator_step, make_space
 
 SMALL = GanConfig(epochs=2, steps_per_epoch=30, batch_size=8, dis_hidden=16,
                   dis_dropout=0.0, beta=0.5, criterion_vocab=100, csls_k=5, seed=0)
@@ -95,6 +95,11 @@ class TestDynamicLambda:
     def test_degenerate_whole_falls_back(self, rng):
         v = rng.normal(size=(20, 3))
         assert dynamic_lambda(v, v * 2.0, v, v) == 0.5
+
+    @pytest.mark.parametrize("n_source, n_target", [(1, 20), (20, 1), (1, 1)])
+    def test_one_row_side_falls_back(self, rng, n_source, n_target):
+        whole_s, whole_t = rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) * 2.0
+        assert dynamic_lambda(whole_s[:n_source], whole_t[:n_target], whole_s, whole_t) == 0.5
 
 
 class TestSubspaceDisSteps:
@@ -249,6 +254,50 @@ class TestTrainMultiGan:
                                 small_space, target, cfg, lambda_fixed=0.5)
         assert pm.lambdas == (0.5, 0.5)
 
+    def test_one_word_target_subspace_trains_at_fallback_lambda(self, small_space):
+        # the target side of subspace 1 holds one word: it has no
+        # covariance spectrum, so its lambda is the fallback
+        target = make_space(small_space.n, small_space.dim, seed=34)
+        assignments = np.zeros(small_space.n, dtype=np.int64)
+        assignments[3] = 1
+        pairing = SubspacePairing(tiny_pairing(small_space, pieces=2).source_partition,
+                                  assignments)
+        cfg = replace(SMALL, epochs=1, steps_per_epoch=5, criterion_vocab=20)
+        pm, runs = train_multi_gan(identity_map(small_space.dim), pairing, small_space,
+                                   target, cfg)
+        assert pm.lambdas[1] == multigan.LAMBDA_FALLBACK
+        assert all(r is not None for r in runs)
+
+    def test_fixed_lambda_computes_no_spectrum(self, small_space, monkeypatch):
+        target = make_space(small_space.n, small_space.dim, seed=35)
+        pairing = tiny_pairing(small_space, pieces=2)
+        cfg = replace(SMALL, epochs=1, steps_per_epoch=10, criterion_vocab=20)
+        args = (identity_map(small_space.dim), pairing, small_space, target, cfg, 0.25)
+        expected, _ = train_multi_gan(*args)
+
+        def no_spectrum(vectors):
+            raise AssertionError("covariance spectrum computed under a fixed lambda")
+
+        monkeypatch.setattr(multigan, "covariance_eigenvalues", no_spectrum)
+        pm, _ = train_multi_gan(*args)
+        assert all(a.w.tobytes() == b.w.tobytes() for a, b in zip(pm.maps, expected.maps))
+
+    @pytest.mark.parametrize("lam", [1.0, 0.0])
+    def test_unplayed_game_keeps_the_frozen_steps_maps(self, small_space, monkeypatch, lam):
+        # the frozen steps still train and evaluate a weight-0 game
+        target = make_space(small_space.n, small_space.dim, seed=36)
+        pairing = tiny_pairing(small_space, pieces=2)
+        cfg = replace(SMALL, epochs=2, steps_per_epoch=20, dis_dropout=0.1,
+                      criterion_vocab=20)
+        args = (LinearMap(random_orthogonal(small_space.dim, 5)), pairing, small_space,
+                target, cfg, lam)
+        pm, _ = train_multi_gan(*args)
+        monkeypatch.setattr(gan, "discriminator_step", frozen_discriminator_step)
+        monkeypatch.setattr(gan, "generator_step", frozen_generator_step)
+        ref, _ = train_multi_gan(*args)
+        assert all(a.w.tobytes() == b.w.tobytes() for a, b in zip(pm.maps, ref.maps))
+        assert any(a.w.tobytes() != args[0].w.tobytes() for a in pm.maps)
+
     def test_maps_stay_near_orthogonal(self):
         inst = generate_instance(2, 80, 6, 5.0, 0.01, seed=6)
         pairing = SubspacePairing(
@@ -371,15 +420,17 @@ class TestSamplingContract:
             assert rows(real) <= top_t and rows(tgt) <= top_t
             assert rows(fake) <= top_s and rows(src) <= top_s
 
-        drawn.clear()
-        train_subspace_gan(1, identity_map(small_space.dim), pairing, small_space,
-                           target, cfg, 0.5)
-        # per step: language real, language fake, subspace real, subspace fake
-        # (discriminators); source, language target, subspace target (generator)
-        assert len(drawn) == 7 * cfg.steps_per_epoch
-        for lang_real, lang_fake, sub_real, sub_fake, src, lang_tgt, sub_tgt in \
-                zip(*[iter(drawn)] * 7):
-            assert rows(lang_real) <= top_t and rows(lang_tgt) <= top_t
-            assert rows(lang_fake) <= top_s
-            assert rows(sub_real) <= sub_t and rows(sub_tgt) <= sub_t
-            assert rows(sub_fake) <= sub_s and rows(src) <= sub_s
+        # at lambda 1 and 0 one game is unplayed but still draws its batches
+        for lam in (0.5, 1.0, 0.0):
+            drawn.clear()
+            train_subspace_gan(1, identity_map(small_space.dim), pairing, small_space,
+                               target, cfg, lam)
+            # per step: language real, language fake, subspace real, subspace fake
+            # (discriminators); source, language target, subspace target (generator)
+            assert len(drawn) == 7 * cfg.steps_per_epoch
+            for lang_real, lang_fake, sub_real, sub_fake, src, lang_tgt, sub_tgt in \
+                    zip(*[iter(drawn)] * 7):
+                assert rows(lang_real) <= top_t and rows(lang_tgt) <= top_t
+                assert rows(lang_fake) <= top_s
+                assert rows(sub_real) <= sub_t and rows(sub_tgt) <= sub_t
+                assert rows(sub_fake) <= sub_s and rows(src) <= sub_s
