@@ -19,18 +19,6 @@ from . import pipeline as pl
 from .synthetic import generate_instance
 
 
-# subcommand -> (pipeline stage it runs, help text)
-_STAGE_COMMANDS = {
-    "normalize": ("normalize", "load, normalize and persist both embedding spaces"),
-    "train-single": ("single_gan", "adversarial single-map training with random restarts"),
-    "cluster": ("cluster", "cluster the source space (FINCH) and align target subspaces"),
-    "train-multi": ("multi_gan", "per-subspace multi-discriminator training"),
-    "refine": ("refine", "Procrustes refinement (mode from config or --refine)"),
-    "induce-dict": ("induce_dict", "export the bidirectional seed dictionary of the final map"),
-    "eval-bli": ("eval", "precision-at-1 evaluation against the gold dictionary"),
-}
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="INI config file")
     p.add_argument("--out", required=True, help="run directory for artifacts")
@@ -75,10 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "whose manifest records another config's hash is refused "
                           "(exit 2)")
 
-    for name, (_, help_text) in _STAGE_COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    for stage in pl.STAGES.values():
+        p = sub.add_parser(stage.command, help=stage.help)
         _add_common(p)
-        if name == "eval-bli":
+        if stage.command == "eval-bli":
             p.add_argument("--per-subspace", action="store_true",
                            help="write the per-cluster accuracy table even if the "
                                 "config sets [evaluation] per_subspace = false")
@@ -123,9 +111,7 @@ def main(argv=None) -> int:
             pl.run_pipeline(cfg, args.out, resume=args.resume)
             print(f"pipeline complete; artifacts in {run.root}")
             return 0
-        stage = _STAGE_COMMANDS[args.command][0]
-        if stage not in pl.stages_for(replace(cfg, stop_after="")):
-            raise ConfigError(f"stage {stage!r} is not part of this configuration")
+        stage = next(name for name, s in pl.STAGES.items() if s.command == args.command)
         result = pl.run_stage(run, cfg, stage)
         metrics = ", ".join(f"{k}={v}" for k, v in result["metrics"].items())
         print(f"{stage}: {metrics}")

@@ -391,7 +391,7 @@ def save_embeddings(path, space: EmbeddingSpace) -> EmbeddingSpace:
     bit for bit.
     """
     for w in space.words:
-        if " " in w or "\n" in w or "\r" in w:
+        if " " in w or "\t" in w or "\n" in w or "\r" in w:
             raise ParseError(f"token {w!r} contains whitespace and cannot be serialized")
     kept = np.empty_like(space.vectors)
     with open(path, "wb") as f:

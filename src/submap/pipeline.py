@@ -26,6 +26,7 @@ import os
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -359,8 +360,6 @@ def stage_induce_dict(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
 
 
 def stage_eval(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
-    if not cfg.data.gold:
-        raise ConfigError("eval stage needs data.gold")
     source, target = _load_normalized(run, cfg)
     fwd, _, _ = load_final_mapping(run, source, target)
     gold = gold_multimap(load_dictionary_tokens(cfg.data.gold))
@@ -386,20 +385,35 @@ def stage_eval(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
                         "skipped_oov": report.skipped_oov}}
 
 
-STAGES = {"normalize": stage_normalize, "single_gan": stage_single_gan,
-          "cluster": stage_cluster, "multi_gan": stage_multi_gan,
-          "refine": stage_refine, "induce_dict": stage_induce_dict, "eval": stage_eval}
+class Stage(NamedTuple):
+    """A stage's function, subcommand, help text and whether a config includes it."""
+    run: Callable[[RunDir, PipelineConfig, int], dict]
+    command: str
+    help: str
+    included: Callable[[PipelineConfig], bool] = lambda cfg: True
+
+
+STAGES = {  # in run order
+    "normalize": Stage(stage_normalize, "normalize",
+                       "load, normalize and persist both embedding spaces"),
+    "single_gan": Stage(stage_single_gan, "train-single",
+                        "adversarial single-map training with random restarts"),
+    "cluster": Stage(stage_cluster, "cluster",
+                     "cluster the source space (FINCH) and align target subspaces",
+                     lambda cfg: cfg.refine_mode != "single"),
+    "multi_gan": Stage(stage_multi_gan, "train-multi", "per-subspace multi-discriminator training",
+                       lambda cfg: cfg.refine_mode != "single"),
+    "refine": Stage(stage_refine, "refine", "Procrustes refinement (mode from config or --refine)"),
+    "induce_dict": Stage(stage_induce_dict, "induce-dict",
+                         "export the bidirectional seed dictionary of the final map"),
+    "eval": Stage(stage_eval, "eval-bli", "precision-at-1 evaluation against the gold dictionary",
+                  lambda cfg: bool(cfg.data.gold)),
+}
 
 
 def stages_for(cfg: PipelineConfig) -> tuple[str, ...]:
-    """The stage sequence a config implies; single-map refinement skips
-    the clustering and multi-GAN stages entirely."""
-    order = list(STAGES)
-    if cfg.refine_mode == "single":
-        for name in ("cluster", "multi_gan"):
-            order.remove(name)
-    if not cfg.data.gold:
-        order.remove("eval")
+    """The stages `cfg` includes, in run order, up to its stop_after."""
+    order = [name for name, stage in STAGES.items() if stage.included(cfg)]
     if cfg.stop_after:
         if cfg.stop_after not in order:
             raise ConfigError(f"stop_after names unknown or skipped stage {cfg.stop_after!r}")
@@ -408,11 +422,11 @@ def stages_for(cfg: PipelineConfig) -> tuple[str, ...]:
 
 
 def run_stage(run: RunDir, cfg: PipelineConfig, name: str, attempt: int = 0) -> dict:
-    if name not in STAGES:
-        raise ConfigError(f"unknown stage {name!r}")
+    if name not in STAGES or not STAGES[name].included(cfg):
+        raise ConfigError(f"stage {name!r} is not part of this configuration")
     seed = derive_seed(cfg.seed, name, str(attempt))
     started = time.monotonic()
-    result = STAGES[name](run, cfg, seed)
+    result = STAGES[name].run(run, cfg, seed)
     run.record_stage(name, seed, result["artifacts"], result["metrics"],
                      time.monotonic() - started)
     return result

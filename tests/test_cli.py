@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from submap.cli import _STAGE_COMMANDS, build_parser, main
+from submap.cli import build_parser, main
 from submap.config import PipelineConfig, config_digest, derive_seed, load_config
 from submap.errors import ConfigError, EmptyDictionaryError, TrainingFailedError
 from submap import gan, pipeline
@@ -109,6 +110,12 @@ def set_value(cfg_path, section, key, value):
     with open(cfg_path, "w", encoding="utf-8") as f:
         parser.write(f)
     return cfg_path
+
+
+def subcommand_help() -> dict[str, str]:
+    """Each subcommand of `submap`, in the parser's order, with its help text."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.help for a in sub._choices_actions}
 
 
 def manifest_without_timings(path):
@@ -225,8 +232,15 @@ class TestConfig:
             "normalize", "single_gan", "refine", "induce_dict", "eval")
         assert stages_for(replace(cfg, stop_after="single_gan")) == (
             "normalize", "single_gan")
+        assert stages_for(replace(cfg, data=replace(cfg.data, gold=""))) == (
+            "normalize", "single_gan", "cluster", "multi_gan", "refine", "induce_dict")
         with pytest.raises(ConfigError):
             stages_for(replace(cfg, stop_after="bogus"))
+
+    def test_every_stage_function_is_in_the_table_once(self):
+        functions = {name[len("stage_"):]: f for name, f in vars(pipeline).items()
+                     if name.startswith("stage_")}
+        assert {name: stage.run for name, stage in pipeline.STAGES.items()} == functions
 
 
 class TestPipeline:
@@ -616,7 +630,7 @@ class TestPipeline:
 class TestRetry:
     def test_empty_dictionary_reruns_every_stage_with_fresh_seeds(self, tmp_path, synth_dir,
                                                                   monkeypatch):
-        induce = pipeline.STAGES["induce_dict"]
+        induce = pipeline.STAGES["induce_dict"].run
         calls = []
 
         def empty_once(run, cfg, seed):
@@ -625,7 +639,8 @@ class TestRetry:
                 raise EmptyDictionaryError("forced")
             return induce(run, cfg, seed)
 
-        monkeypatch.setitem(pipeline.STAGES, "induce_dict", empty_once)
+        monkeypatch.setitem(pipeline.STAGES, "induce_dict",
+                            pipeline.STAGES["induce_dict"]._replace(run=empty_once))
         cfg = load_config(write_config(tmp_path, synth_dir, refine_mode="single"))
         manifest = run_pipeline(cfg, tmp_path / "retry").read_manifest()
         assert manifest["attempt"] == 1 and "failure_stage" not in manifest
@@ -642,7 +657,7 @@ class TestRetry:
         def failing(run, cfg, seed):
             raise error("forced")
 
-        monkeypatch.setitem(pipeline.STAGES, stage, failing)
+        monkeypatch.setitem(pipeline.STAGES, stage, pipeline.STAGES[stage]._replace(run=failing))
         cfg_path = set_value(write_config(tmp_path, synth_dir, refine_mode="single"),
                              "run", "restart_budget", "0")
         out = tmp_path / "failed"
@@ -694,8 +709,8 @@ class TestCliCommands:
         set_value(cfg_path, "data", "normalize", "false")
         auto, manual = tmp_path / "auto", tmp_path / "manual"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(auto)]) == 0
-        for command in _STAGE_COMMANDS:
-            assert main([command, "--config", str(cfg_path), "--out", str(manual)]) == 0
+        for stage in pipeline.STAGES.values():
+            assert main([stage.command, "--config", str(cfg_path), "--out", str(manual)]) == 0
         cluster = json.loads((auto / "manifest.json").read_text(encoding="utf-8")
                              )["stages"]["cluster"]["metrics"]
         assert cluster["clusters"] == 2 and cluster["merged_empty_clusters"] == [1]
@@ -720,7 +735,20 @@ class TestCliCommands:
         assert not (out / "manifest.json").exists()
 
     def test_every_stage_has_one_subcommand(self):
-        assert sorted(stage for stage, _ in _STAGE_COMMANDS.values()) == sorted(pipeline.STAGES)
+        commands = [stage.command for stage in pipeline.STAGES.values()]
+        assert list(subcommand_help()) == ["pipeline", *commands, "synth-gen"]
+
+    def test_subcommand_help_texts(self):
+        assert subcommand_help() == {
+            "pipeline": "run all configured stages in order",
+            "normalize": "load, normalize and persist both embedding spaces",
+            "train-single": "adversarial single-map training with random restarts",
+            "cluster": "cluster the source space (FINCH) and align target subspaces",
+            "train-multi": "per-subspace multi-discriminator training",
+            "refine": "Procrustes refinement (mode from config or --refine)",
+            "induce-dict": "export the bidirectional seed dictionary of the final map",
+            "eval-bli": "precision-at-1 evaluation against the gold dictionary",
+            "synth-gen": "write a synthetic piecewise-linear instance"}
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -809,6 +837,25 @@ class TestCliCommands:
         assert manifest["failure_stage"] == "normalize"
         assert manifest["failure"] == f"DegenerateVectorError: non-finite norm for {word}"
 
+    @pytest.mark.parametrize("refine_mode", ["single", "global"])
+    def test_token_with_a_tab_fails_at_normalize(self, tmp_path, synth_dir, capsys,
+                                                 refine_mode):
+        # seed_dict.tsv separates its columns with tabs, so no token may hold one
+        lines = (synth_dir / "source.vec").read_text(encoding="utf-8").splitlines()
+        lines[5] = "x\ty " + lines[5].split(" ", 1)[1]
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "source.vec").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        shutil.copy(synth_dir / "target.vec", data / "target.vec")
+        shutil.copy(synth_dir / "gold.tsv", data / "gold.tsv")
+        cfg_path = write_config(tmp_path, data, refine_mode=refine_mode)
+        out = tmp_path / "tab"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "error: ParseError: token 'x\\ty' contains whitespace" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["failure_stage"] == "normalize"
+        assert not (out / "single_map.txt").exists()
+
     @pytest.mark.parametrize("flag, value", [("--separation", "inf"),
                                              ("--noise-sigma", "nan")])
     def test_synth_gen_rejects_non_finite_parameters(self, tmp_path, flag, value):
@@ -838,11 +885,23 @@ class TestCliCommands:
         assert "stop_after names unknown or skipped stage 'align'" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
-    def test_stage_not_in_configuration_rejected(self, tmp_path, synth_dir):
-        cfg_path = write_config(tmp_path, synth_dir, refine_mode="single")
-        rc = main(["train-multi", "--config", str(cfg_path),
-                   "--out", str(tmp_path / "z")])
-        assert rc == 2
+    def test_stage_not_in_configuration_rejected(self, tmp_path, synth_dir, capsys):
+        (tmp_path / "single").mkdir()
+        (tmp_path / "no_gold").mkdir()
+        single = write_config(tmp_path / "single", synth_dir, refine_mode="single")
+        no_gold = set_value(write_config(tmp_path / "no_gold", synth_dir), "data", "gold", "")
+        for cfg_path, command, stage in [(single, "cluster", "cluster"),
+                                         (single, "train-multi", "multi_gan"),
+                                         (no_gold, "eval-bli", "eval")]:
+            message = f"stage {stage!r} is not part of this configuration"
+            run = RunDir(tmp_path / f"direct_{stage}")
+            with pytest.raises(ConfigError, match=message):
+                run_stage(run, load_config(cfg_path), stage)
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not run.manifest_path().exists()
+            assert not (out / "manifest.json").exists()
 
     def test_flag_overrides(self, tmp_path, synth_dir):
         cfg_path = write_config(tmp_path, synth_dir)
