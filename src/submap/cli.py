@@ -43,8 +43,6 @@ def _resolve(args) -> PipelineConfig:
         cfg = replace(cfg, refine_mode=args.refine)
     if getattr(args, "stage", None):
         cfg = replace(cfg, stop_after=args.stage)
-    if getattr(args, "per_subspace", False):
-        cfg = replace(cfg, evaluation=replace(cfg.evaluation, per_subspace=True))
     validate_config(cfg)
     return cfg
 
@@ -64,12 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "(exit 2)")
 
     for stage in pl.STAGES.values():
-        p = sub.add_parser(stage.command, help=stage.help)
-        _add_common(p)
-        if stage.command == "eval-bli":
-            p.add_argument("--per-subspace", action="store_true",
-                           help="write the per-cluster accuracy table even if the "
-                                "config sets [evaluation] per_subspace = false")
+        _add_common(sub.add_parser(stage.command, help=stage.help))
 
     gen = sub.add_parser("synth-gen", help="write a synthetic piecewise-linear instance")
     gen.add_argument("--out", required=True)
@@ -112,8 +105,7 @@ def main(argv=None) -> int:
             print(f"pipeline complete; artifacts in {run.root}")
             return 0
         stage = next(name for name, s in pl.STAGES.items() if s.command == args.command)
-        result = pl.run_stage(run, cfg, stage)
-        metrics = ", ".join(f"{k}={v}" for k, v in result["metrics"].items())
+        metrics = ", ".join(f"{k}={v}" for k, v in pl.run_stage(run, cfg, stage).items())
         print(f"{stage}: {metrics}")
         return 0
     except ConfigError as e:

@@ -3,9 +3,11 @@ manifest.
 
 Every stage reads its inputs from the run directory and writes its
 outputs back there, so `pipeline` and the per-stage subcommands produce
-identical artifacts.  Stage seeds derive from the master seed and the
-stage name; timings live in their own manifest key and are the only
-nondeterministic field.
+identical artifacts.  A stage function returns its metrics; the
+manifest lists as its artifacts the files it wrote through `RunDir.out`
+(which the `RunDir.save_*` methods call), in the order written.  Stage
+seeds derive from the master seed and the stage name; timings live in
+their own manifest key and are the only nondeterministic field.
 
 Each normalized space, map, cluster-id file and centroid matrix is
 parsed at most once per process: the RunDir keeps what it parsed,
@@ -63,17 +65,25 @@ def _read_json(path: Path, keys: tuple[str, ...] = ()) -> dict:
 
 
 class RunDir:
-    """Artifact paths, the manifest, and the spaces, maps, cluster ids and
-    centroids kept parsed, for one run directory."""
+    """One run directory: artifact paths, the manifest, `written` (the names the current stage
+    wrote), and the spaces, maps, cluster ids and centroids kept parsed."""
 
     def __init__(self, out: str | Path):
         self.root = Path(out)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.written: list[str] = []
         # key -> ((st_mtime_ns, st_size) of the file it was read from, object)
         self._kept: dict[tuple, tuple[tuple[int, int], object]] = {}
 
     def path(self, name: str) -> Path:
         return self.root / name
+
+    def out(self, name: str) -> Path:
+        """The path of `name`, appended to `written`; its directory is made
+        only now, so a command refused before it writes makes none."""
+        path = self.path(name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.written.append(name)
+        return path
 
     def _stamp(self, name: str) -> tuple[int, int]:
         st = self.path(name).stat()
@@ -88,7 +98,7 @@ class RunDir:
             kept = self._kept[key] = (stamp, parse(self.path(name)))
         return kept[1]
 
-    def _written(self, name: str, key: tuple, parsed) -> None:
+    def _keep(self, name: str, key: tuple, parsed) -> None:
         """Keep `parsed`, what the file `name` just written parses to, under `key`."""
         self._kept[key] = (self._stamp(name), parsed)
 
@@ -105,7 +115,7 @@ class RunDir:
     def save_space(self, name: str, space: EmbeddingSpace) -> None:
         """Write `space` to `name` and keep the space the file parses to,
         which save_embeddings returns."""
-        self._written(name, (name,), save_embeddings(self.path(name), space))
+        self._keep(name, (name,), save_embeddings(self.out(name), space))
 
     def load_map(self, name: str) -> LinearMap:
         """The map file `name` as load_linear_map parses it."""
@@ -114,8 +124,8 @@ class RunDir:
     def save_map(self, name: str, m: LinearMap) -> None:
         """Write `m` to `name` and keep it as what the file parses to:
         `write_rows`' '%.17g' text reads back every float64 bit for bit."""
-        save_linear_map(self.path(name), m)
-        self._written(name, (name,), LinearMap(m.w.copy()))
+        save_linear_map(self.out(name), m)
+        self._keep(name, (name,), LinearMap(m.w.copy()))
 
     def load_assignments(self, name: str, words: tuple[str, ...]) -> np.ndarray:
         """The cluster-id file `name` as load_assignments parses it for `words`."""
@@ -124,8 +134,8 @@ class RunDir:
     def save_assignments(self, name: str, words: tuple[str, ...], assignments) -> None:
         """Write one cluster id per word to `name` and keep the ids: the
         integers read back exactly."""
-        save_assignments(self.path(name), words, assignments)
-        self._written(name, (name, words), np.array(assignments, dtype=np.int64))
+        save_assignments(self.out(name), words, assignments)
+        self._keep(name, (name, words), np.array(assignments, dtype=np.int64))
 
     def load_matrix(self, name: str) -> np.ndarray:
         """The matrix file `name` as load_matrix parses it."""
@@ -134,8 +144,8 @@ class RunDir:
     def save_matrix(self, name: str, m: np.ndarray) -> None:
         """Write `m` to `name` and keep it: `write_rows`' '%.17g' text
         reads back every finite float64 bit for bit."""
-        save_matrix(self.path(name), m)
-        self._written(name, (name,), np.array(m, dtype=np.float64))
+        save_matrix(self.out(name), m)
+        self._keep(name, (name,), np.array(m, dtype=np.float64))
 
     def manifest_path(self) -> Path:
         return self.root / "manifest.json"
@@ -149,9 +159,10 @@ class RunDir:
             raise ParseError(f"{p}: stages, each stage's entry and timings must be objects")
         return doc
 
-    def _write_manifest(self, doc: dict) -> None:
+    def write_manifest(self, doc: dict) -> None:
         # a whole new file or none: an interrupted write never leaves half
         # a manifest for --resume to read
+        self.root.mkdir(parents=True, exist_ok=True)
         tmp = self.root / "manifest.json.tmp"
         tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         os.replace(tmp, self.manifest_path())
@@ -159,19 +170,18 @@ class RunDir:
     def update_manifest(self, **top_level) -> None:
         doc = self.read_manifest()
         doc.update(top_level)
-        self._write_manifest(doc)
+        self.write_manifest(doc)
 
-    def record_stage(self, name: str, seed: int, artifacts: list[str],
-                     metrics: dict, seconds: float) -> None:
+    def record_stage(self, name: str, seed: int, metrics: dict, seconds: float) -> None:
         doc = self.read_manifest()
         doc.setdefault("stages", {})[name] = {
             "seed": seed,
             "status": "ok",
-            "artifacts": artifacts,
+            "artifacts": self.written,
             "metrics": metrics,
         }
         doc.setdefault("timings", {})[name] = round(seconds, 3)
-        self._write_manifest(doc)
+        self.write_manifest(doc)
 
     def record_failure(self, name: str, error: Exception) -> None:
         self.update_manifest(failure_stage=name, failure=f"{type(error).__name__}: {error}")
@@ -193,20 +203,12 @@ def _load_pairing(run: RunDir, source: EmbeddingSpace, target: EmbeddingSpace) -
 
 
 def _save_mapset(run: RunDir, subdir: str, kind: str, maps: list[LinearMap],
-                 meta: dict) -> list[str]:
-    d = run.path(subdir)
-    d.mkdir(parents=True, exist_ok=True)
-    artifacts = []
+                 meta: dict) -> None:
     for i, m in enumerate(maps):
-        name = f"{subdir}/map_{i:03d}.txt"
-        run.save_map(name, m)
-        artifacts.append(name)
+        run.save_map(f"{subdir}/map_{i:03d}.txt", m)
     doc = {"kind": kind, "count": len(maps), **meta}
-    meta_name = f"{subdir}/meta.json"
-    run.path(meta_name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                                   encoding="utf-8")
-    artifacts.append(meta_name)
-    return artifacts
+    run.out(f"{subdir}/meta.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                                              encoding="utf-8")
 
 
 def _load_mapset(run: RunDir, subdir: str, source: EmbeddingSpace,
@@ -247,8 +249,7 @@ def stage_normalize(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
         target = EmbeddingSpace(target.words, unit_rows(target.vectors, target.words))
     run.save_space("source.norm.vec", source)
     run.save_space("target.norm.vec", target)
-    return {"artifacts": ["source.norm.vec", "target.norm.vec"],
-            "metrics": {"source_n": source.n, "target_n": target.n, "dim": source.dim}}
+    return {"source_n": source.n, "target_n": target.n, "dim": source.dim}
 
 
 def _game_metrics(games: list[Trained | None], criteria_key: str) -> dict:
@@ -266,12 +267,11 @@ def stage_single_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     best, restarts = random_restart_train(source, target, gan_cfg,
                                           restarts=cfg.single_restarts)
     run.save_map("single_map.txt", best.map)
-    return {"artifacts": ["single_map.txt"],
-            "metrics": {"criterion": best.criterion,
-                        "orthogonality_defect": best.map.orthogonality_defect(),
-                        "restarts": cfg.single_restarts,
-                        "winning_restart": next(i for i, r in enumerate(restarts) if r is best),
-                        **_game_metrics(restarts, "restart_criteria")}}
+    return {"criterion": best.criterion,
+            "orthogonality_defect": best.map.orthogonality_defect(),
+            "restarts": cfg.single_restarts,
+            "winning_restart": next(i for i, r in enumerate(restarts) if r is best),
+            **_game_metrics(restarts, "restart_criteria")}
 
 
 def stage_cluster(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
@@ -287,14 +287,12 @@ def stage_cluster(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     run.save_assignments("source_partition.tsv", source.words, paired.assignments)
     run.save_matrix("source_centroids.txt", paired.centroids)
     run.save_assignments("target_assignments.tsv", target.words, pairing.target_assignments)
-    return {"artifacts": ["source_partition.tsv", "source_centroids.txt",
-                          "target_assignments.tsv"],
-            "metrics": {"level_sizes": [p.c for p in hierarchy.levels],
-                        "selected_level": cfg.cluster.level,
-                        "clusters": partition.c,
-                        "cluster_sizes": partition.sizes().tolist(),
-                        "pair_sizes": pairing.pair_sizes(),
-                        "merged_empty_clusters": merged}}
+    return {"level_sizes": [p.c for p in hierarchy.levels],
+            "selected_level": cfg.cluster.level,
+            "clusters": partition.c,
+            "cluster_sizes": partition.sizes().tolist(),
+            "pair_sizes": pairing.pair_sizes(),
+            "merged_empty_clusters": merged}
 
 
 def stage_multi_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
@@ -306,9 +304,9 @@ def stage_multi_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     pm, subspaces = train_multi_gan(single, pairing, source, target, gan_cfg,
                                     lambda_fixed=lambda_fixed)
     per_game = _game_metrics(subspaces, "criteria")
-    artifacts = _save_mapset(run, "multi", "piecewise", list(pm.maps),
-                             {"lambdas": list(pm.lambdas), "criteria": per_game["criteria"]})
-    return {"artifacts": artifacts, "metrics": {**per_game, "lambdas": list(pm.lambdas)}}
+    _save_mapset(run, "multi", "piecewise", list(pm.maps),
+                 {"lambdas": list(pm.lambdas), "criteria": per_game["criteria"]})
+    return {**per_game, "lambdas": list(pm.lambdas)}
 
 
 def _write_refine_log(path: Path, steps) -> None:
@@ -343,10 +341,10 @@ def stage_refine(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
             metrics["refined_subspaces"] = sorted(int(c) for c in by_cluster)
         kind, maps = "piecewise", list(pm.maps)
         meta = {"lambdas": list(pm.lambdas)}
+    _save_mapset(run, "final", kind, maps, meta)
     for name, log in logs.items():
-        _write_refine_log(run.path(name), log)
-    artifacts = _save_mapset(run, "final", kind, maps, meta)
-    return {"artifacts": artifacts + list(logs), "metrics": metrics}
+        _write_refine_log(run.out(name), log)
+    return metrics
 
 
 def stage_induce_dict(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
@@ -355,38 +353,34 @@ def stage_induce_dict(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     dictionary = induce_seed_dictionary(fwd, bwd, source, target,
                                         vocab_limit=cfg.refine.vocab_limit,
                                         k=cfg.refine.csls_k)
-    save_dictionary(run.path("seed_dict.tsv"), dictionary, source, target)
-    return {"artifacts": ["seed_dict.tsv"], "metrics": {"pairs": len(dictionary)}}
+    save_dictionary(run.out("seed_dict.tsv"), dictionary, source, target)
+    return {"pairs": len(dictionary)}
 
 
 def stage_eval(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     source, target = _load_normalized(run, cfg)
     fwd, _, _ = load_final_mapping(run, source, target)
     gold = gold_multimap(load_dictionary_tokens(cfg.data.gold))
-    artifacts = []
     if cfg.evaluation.per_subspace and run.path("source_partition.tsv").exists():
         partition = _load_partition(run, source)
         report = per_subspace_accuracy(fwd, partition, gold, source, target,
                                        vocab_limit=cfg.evaluation.vocab_limit,
                                        k=cfg.evaluation.csls_k)
-        run.path("per_subspace.tsv").write_text(per_subspace_table(report),
-                                                encoding="utf-8")
-        artifacts.append("per_subspace.tsv")
+        run.out("per_subspace.tsv").write_text(per_subspace_table(report), encoding="utf-8")
     else:
         report = evaluate_bli(fwd, gold, source, target, k=cfg.evaluation.csls_k,
                               max_rank=cfg.evaluation.vocab_limit)
         # a table from an earlier evaluation would not match this report
         run.path("per_subspace.tsv").unlink(missing_ok=True)
-    run.path("report.json").write_text(report_to_json(report), encoding="utf-8")
-    run.path("report.txt").write_text(format_report(report), encoding="utf-8")
-    artifacts.extend(["report.json", "report.txt"])
-    return {"artifacts": artifacts,
-            "metrics": {"p_at_1": report.p_at_1, "evaluated": report.evaluated,
-                        "skipped_oov": report.skipped_oov}}
+    run.out("report.json").write_text(report_to_json(report), encoding="utf-8")
+    run.out("report.txt").write_text(format_report(report), encoding="utf-8")
+    return {"p_at_1": report.p_at_1, "evaluated": report.evaluated,
+            "skipped_oov": report.skipped_oov}
 
 
 class Stage(NamedTuple):
-    """A stage's function, subcommand, help text and whether a config includes it."""
+    """A stage's function (it returns its metrics; its artifacts are the files it wrote
+    through the RunDir), subcommand, help text and whether a config includes it."""
     run: Callable[[RunDir, PipelineConfig, int], dict]
     command: str
     help: str
@@ -422,14 +416,15 @@ def stages_for(cfg: PipelineConfig) -> tuple[str, ...]:
 
 
 def run_stage(run: RunDir, cfg: PipelineConfig, name: str, attempt: int = 0) -> dict:
+    """Run stage `name`, record it with the files it wrote, and return its metrics."""
     if name not in STAGES or not STAGES[name].included(cfg):
         raise ConfigError(f"stage {name!r} is not part of this configuration")
     seed = derive_seed(cfg.seed, name, str(attempt))
     started = time.monotonic()
-    result = STAGES[name].run(run, cfg, seed)
-    run.record_stage(name, seed, result["artifacts"], result["metrics"],
-                     time.monotonic() - started)
-    return result
+    run.written.clear()
+    metrics = STAGES[name].run(run, cfg, seed)
+    run.record_stage(name, seed, metrics, time.monotonic() - started)
+    return metrics
 
 
 def _stage_complete(run: RunDir, name: str) -> bool:
@@ -444,17 +439,21 @@ def run_pipeline(cfg: PipelineConfig, out: str | Path, resume: bool = False) -> 
     """Run all configured stages in order.  On EmptyDictionaryError every
     stage reruns, `normalize` included, with fresh stage seeds, at most
     `restart_budget` times; any other typed failure, or one past the
-    budget, is recorded in the manifest and re-raised.  `resume` refuses,
+    budget, is recorded in the manifest and re-raised.  A run starts a new
+    manifest; with `resume` it keeps the stages' records, and refuses,
     before writing anything, a run directory whose manifest records
     another config's hash."""
     run = RunDir(out)
     digest = config_digest(cfg)
-    recorded = run.read_manifest().get("config_hash") if resume else None
+    old = run.read_manifest()  # a damaged manifest is refused, not overwritten
+    recorded = old.get("config_hash") if resume else None
     if recorded is not None and recorded != digest:
         raise ConfigError(f"{run.manifest_path()} records config_hash {recorded}, "
                           f"not this config's {digest}: resume a run with its own config")
-    run.update_manifest(config_hash=digest, master_seed=cfg.seed,
-                        stage_order=list(stages_for(cfg)))
+    kept = old if resume else {}
+    run.write_manifest({"stages": kept.get("stages", {}), "timings": kept.get("timings", {}),
+                        "config_hash": digest, "master_seed": cfg.seed,
+                        "stage_order": list(stages_for(cfg))})
     attempt = 0
     while True:
         name = "?"

@@ -309,13 +309,35 @@ class TestPipeline:
         manual = tmp_path / "manual"
         run_pipeline(cfg, auto)
         run = RunDir(manual)
-        for name in stages_for(cfg):
-            run_stage(run, cfg, name)
+        returned = {name: run_stage(run, cfg, name) for name in stages_for(cfg)}
         for artifact in sorted(p.relative_to(auto) for p in auto.rglob("*")
                                if p.is_file() and p.name != "manifest.json"):
             a = (auto / artifact).read_bytes()
             b = (manual / artifact).read_bytes()
             assert a == b, f"{artifact} differs between pipeline and subcommands"
+        # the same stage records, each artifact list in the order written,
+        # and each stage's metrics are what its function returned
+        stages = manifest_without_timings(auto / "manifest.json")["stages"]
+        assert stages == run.read_manifest()["stages"]
+        assert json.loads(json.dumps(returned)) == {name: stage["metrics"]
+                                                    for name, stage in stages.items()}
+
+    def test_a_failed_stage_records_nothing_it_wrote(self, tmp_path, synth_dir, monkeypatch):
+        def write_then_fail(run, cfg, seed):
+            run.out("seed_dict.tsv").write_text("", encoding="utf-8")
+            raise EmptyDictionaryError("forced")
+
+        monkeypatch.setitem(pipeline.STAGES, "induce_dict",
+                            pipeline.STAGES["induce_dict"]._replace(run=write_then_fail))
+        cfg = load_config(write_config(tmp_path, synth_dir, refine_mode="single"))
+        run = RunDir(tmp_path / "failed")
+        for name in ("normalize", "single_gan", "refine"):
+            run_stage(run, cfg, name)
+        with pytest.raises(EmptyDictionaryError):
+            run_stage(run, cfg, "induce_dict")
+        assert "induce_dict" not in run.read_manifest()["stages"]
+        run_stage(run, cfg, "eval")
+        assert run.read_manifest()["stages"]["eval"]["artifacts"] == ["report.json", "report.txt"]
 
     def test_each_normalized_space_parsed_once(self, tmp_path, synth_dir, monkeypatch):
         cfg = load_config(write_config(tmp_path, synth_dir))
@@ -667,6 +689,33 @@ class TestRetry:
         assert manifest["failure"] == f"{error.__name__}: forced"
         assert "attempt" not in manifest
 
+    def test_a_rerun_starts_a_new_manifest(self, tmp_path, synth_dir, monkeypatch):
+        induce = pipeline.STAGES["induce_dict"]
+
+        def failing(run, cfg, seed):
+            raise EmptyDictionaryError("forced")
+
+        cfg_path = set_value(write_config(tmp_path, synth_dir), "run", "restart_budget", "0")
+        out = tmp_path / "rerun"
+        common = ["--config", str(cfg_path), "--out", str(out)]
+
+        def manifest():
+            return json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+
+        for rerun in (["pipeline"], ["pipeline", "--resume"]):
+            monkeypatch.setitem(pipeline.STAGES, "induce_dict", induce._replace(run=failing))
+            assert main(["pipeline", *common]) == 1
+            assert manifest()["failure_stage"] == "induce_dict"
+            monkeypatch.setitem(pipeline.STAGES, "induce_dict", induce)
+            assert main(rerun[:1] + common + rerun[1:]) == 0
+            doc = manifest()
+            assert "failure" not in doc and "failure_stage" not in doc and doc["attempt"] == 0
+            assert sorted(doc["stages"]) == sorted(doc["stage_order"])
+        # a rerun that leaves stages out records none of the last run's
+        assert main(["pipeline", *common, "--refine", "single"]) == 0
+        assert sorted(manifest()["stages"]) == sorted(stages_for(
+            replace(load_config(cfg_path), refine_mode="single")))
+
 
 class TestCliCommands:
     def test_pipeline_then_rerun_is_bit_identical(self, tmp_path, synth_dir):
@@ -733,6 +782,16 @@ class TestCliCommands:
         assert "unrecognized arguments: --kmeans 3" in capsys.readouterr().err
         assert not (out / "report.json").exists()
         assert not (out / "manifest.json").exists()
+
+    def test_eval_bli_has_no_per_subspace_flag(self, tmp_path, synth_dir, capsys):
+        # the per-subspace table is `[evaluation] per_subspace`, true by default
+        cfg_path = write_config(tmp_path, synth_dir)
+        out = tmp_path / "per_subspace"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval-bli", "--config", str(cfg_path), "--out", str(out), "--per-subspace"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --per-subspace" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_every_stage_has_one_subcommand(self):
         commands = [stage.command for stage in pipeline.STAGES.values()]
@@ -902,6 +961,25 @@ class TestCliCommands:
             assert capsys.readouterr().err == f"config error: {message}\n"
             assert not run.manifest_path().exists()
             assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("setting, command", [
+        (("data", "gold", ""), ["eval-bli"]),
+        (("run", "refine_mode", "single"), ["cluster"]),
+        (("run", "refine_mode", "single"), ["train-multi"]),
+        (None, ["pipeline", "--stage", "bogus"]),
+        (None, ["pipeline", "--stage", "align"]),
+    ], ids=["eval-bli-without-gold", "cluster-single", "train-multi-single",
+            "pipeline-stage-bogus", "pipeline-stage-align"])
+    def test_refused_command_writes_nothing(self, tmp_path, synth_dir, capsys, setting,
+                                            command):
+        cfg_path = write_config(tmp_path, synth_dir)
+        if setting:
+            set_value(cfg_path, *setting)
+        out = tmp_path / "refused"
+        assert main(command[:1] + ["--config", str(cfg_path), "--out", str(out)]
+                    + command[1:]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_flag_overrides(self, tmp_path, synth_dir):
         cfg_path = write_config(tmp_path, synth_dir)
