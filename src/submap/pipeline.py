@@ -361,7 +361,8 @@ def stage_eval(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     source, target = _load_normalized(run, cfg)
     fwd, _, _ = load_final_mapping(run, source, target)
     gold = gold_multimap(load_dictionary_tokens(cfg.data.gold))
-    if cfg.evaluation.per_subspace and run.path("source_partition.tsv").exists():
+    # the partition this config made, not one an earlier run left behind
+    if cfg.evaluation.per_subspace and STAGES["cluster"].included(cfg):
         partition = _load_partition(run, source)
         report = per_subspace_accuracy(fwd, partition, gold, source, target,
                                        vocab_limit=cfg.evaluation.vocab_limit,

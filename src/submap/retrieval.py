@@ -6,8 +6,9 @@ between equal computed scores toward the lowest target index, and is
 deterministic given an rng.  Exact-duplicate target rows need not
 compute equal scores: BLAS can round one dot product differently by
 the column's place in its kernel, so either copy may win.
-Similarities are float32 products; the top-k means, the scores and
-everything built on them are float64.
+Similarities are float32 products; the r_s means, the scores and
+everything built on them are float64.  The query-side CSLS term r_t is
+never computed: it is constant along a query's row, so no argmax reads it.
 Every CSLS lookup in the package goes through `_translate`, which maps,
 normalizes and clamps k in one place.
 """
@@ -61,12 +62,6 @@ def _row_topk(rows: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def topk_mean(sims: np.ndarray, k: int) -> np.ndarray:
-    """Float64 mean of the k largest entries in each row of a similarity
-    block, which may be float32."""
-    return _row_topk(sims, k).mean(axis=1, dtype=np.float64)
-
-
 def _column_topk(sims: np.ndarray, k: int) -> np.ndarray:
     """[n_cols, k]: the k largest entries of each column as a row, or every
     entry when a column has fewer than k.  Each stripe of columns is
@@ -82,24 +77,26 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
 
     r_t is the mean cosine of the query to its k nearest target rows and
     r_s the mean cosine of the target to its k nearest query rows; the
-    query set itself serves as the source-side neighborhood.  With
-    keep_prob < 1 each score survives with that probability and dropped
-    scores count as -inf (stochastic dictionary induction); keep_prob
-    must be positive, and 1 or more drops nothing.
+    query set itself serves as the source-side neighborhood.  r_t is the
+    same for every target of a query, so it cannot change which target
+    wins and is not computed: each query takes the argmax of 2*cos - r_s,
+    one correctly rounded float64 value per score.  With keep_prob < 1
+    each score survives with that probability and dropped scores count
+    as -inf (stochastic dictionary induction); keep_prob must be
+    positive, and 1 or more drops nothing.
 
     Query rows go in blocks of at most 2**23 similarities (32 MB), each
     the float32 product of its rows with every target in one BLAS call,
     written into one reused buffer; both sides are cast to float32 once
-    per call.  The first pass takes r_t from each block's rows
-    (`topk_mean`) and merges the block's columns into a running
-    [n_targets, k] top-k for r_s (`_column_topk`); both partition in
-    float32 and both means accumulate in float64.  The second pass
-    scores and takes the argmax.  It starts with the block the buffer
-    still holds and recomputes the others; with dropout it goes block
-    after block in query order, so the block left over is recomputed too.
-    Top-k, scoring, dropout and argmax run on slices of 64 rows or
-    columns: each score slice is copied into one reused float64 buffer
-    before 2*sim - r_t - r_s.  So memory holds one float32 block plus a
+    per call.  The first pass merges each block's columns into a running
+    [n_targets, k] top-k for r_s (`_column_topk`), partitioned in float32
+    and averaged in float64.  The second pass scores and takes the
+    argmax.  It starts with the block the buffer still holds and
+    recomputes the others; with dropout it goes block after block in
+    query order, so the block left over is recomputed too.  Top-k,
+    scoring, dropout and argmax run on slices of 64 rows or columns:
+    each score slice is doubled (exactly) into one reused float64 buffer
+    before r_s is subtracted.  So memory holds one float32 block plus a
     few slice buffers.  Each slice's dropout draws fill one reused buffer
     u, and a score is dropped where u >= keep_prob, by taking the minimum
     with -inf there and +inf elsewhere; slice after slice, the draws
@@ -125,11 +122,9 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
         return np.matmul(rows, t_vecs.T, out=block[:len(rows)])
 
     starts = range(0, n_q, step)
-    r_t = np.empty(n_q)
     col_top = None  # [n_t, <= k] largest similarities seen so far per target
     for i in starts:
         sims = product(i)
-        r_t[i:i + step] = topk_mean(sims, k)
         top = _column_topk(sims, k)
         # each merged row is [top so far, this block's top] of one target
         col_top = top if col_top is None else _column_topk(
@@ -144,10 +139,7 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
             sims, held = product(i), i
         for j in range(0, len(sims), _SLICE):
             scores = buf[:min(_SLICE, len(sims) - j)]
-            scores[...] = sims[j:j + _SLICE]
-            rows = slice(i + j, i + j + len(scores))
-            scores *= 2.0
-            scores -= r_t[rows, None]
+            np.multiply(sims[j:j + _SLICE], 2.0, out=scores)
             scores -= r_s
             if dropout:
                 u = drawn[:len(scores)]
@@ -156,7 +148,7 @@ def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
                 np.copysign(np.inf, u, out=u)
                 np.negative(u, out=u)
                 np.minimum(scores, u, out=scores)
-            out[rows] = scores.argmax(axis=1)
+            out[i + j:i + j + len(scores)] = scores.argmax(axis=1)
     return out
 
 

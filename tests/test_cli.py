@@ -557,6 +557,20 @@ class TestPipeline:
         stages = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
         assert stages["eval"]["artifacts"] == ["report.json", "report.txt"]
 
+    def test_single_rerun_ignores_an_earlier_runs_partition(self, tmp_path, synth_dir):
+        cfg_path = write_config(tmp_path, synth_dir)
+        out = tmp_path / "rerun"
+        common = ["--config", str(cfg_path), "--out", str(out)]
+        assert main(["pipeline", *common]) == 0
+        assert (out / "per_subspace.tsv").exists()
+        assert main(["pipeline", *common, "--refine", "single"]) == 0
+        assert (out / "source_partition.tsv").exists()  # left by the global run
+        assert not (out / "per_subspace.tsv").exists()
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert "per_subspace" not in report
+        stages = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
+        assert stages["eval"]["artifacts"] == ["report.json", "report.txt"]
+
     def test_resume_skips_completed_stages(self, tmp_path, synth_dir):
         cfg = load_config(write_config(tmp_path, synth_dir))
         out = tmp_path / "resume"

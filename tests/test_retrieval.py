@@ -14,7 +14,7 @@ from submap.retrieval import (SeedDictionary, csls_translate, gold_multimap,
                               save_dictionary, selection_criterion)
 
 from conftest import (brute_force_csls, make_space, one_shot_column_topk, one_shot_csls,
-                      one_shot_r_s, one_shot_topk_mean)
+                      one_shot_r_s)
 
 
 def brute_force_mutual_pairs(q, source, target, k):
@@ -194,7 +194,6 @@ class TestSlicedKernel:
             sims = tied_rows(g, 23) @ tied_rows(g, 29).T if seed % 2 else g.normal(size=(23, 29))
             for dtype in (np.float64, np.float32):  # either block dtype
                 sims = sims.astype(dtype)
-                assert np.array_equal(retrieval.topk_mean(sims, k), one_shot_topk_mean(sims, k))
                 for block in (sims, sims[:k - 1]):  # fewer than k rows: keeps them all
                     r_s = retrieval._column_topk(block, k).mean(axis=1, dtype=np.float64)
                     assert np.array_equal(r_s, one_shot_r_s(one_shot_column_topk(block, k)))
@@ -262,6 +261,30 @@ def test_csls_peak_memory_is_one_block(keep_prob):
             tracemalloc.stop()
         block = min(n_q * 4000, 2 ** 23) * 4
         assert peak <= 1.1 * (block + (n_q + 4000) * 300 * 4 + retrieval._SLICE * 4000 * 8), n_q
+
+
+def twin_rows(g, n, d):
+    """n unit rows in random order: n // 2 random rows and a twin of each,
+    perturbed by 1e-8, so two targets' scores often differ by less than
+    float32 resolves."""
+    base = unit_rows(g.normal(size=(n // 2, d)))
+    rows = np.vstack([base, unit_rows(base + 1e-8 * g.normal(size=base.shape))])
+    return rows[g.permutation(n)]
+
+
+@pytest.mark.parametrize("keep_prob", [1.0, 0.1])
+@pytest.mark.parametrize("n_q, n_t, d", [(1200, 1200, 10), (2000, 4000, 300)])  # desk; paper
+def test_kernel_matches_one_shot_kernel_at_pipeline_shapes(n_q, n_t, d, keep_prob):
+    # the one-shot kernel computes r_t and subtracts it; the sliced kernel
+    # does not, and must still pick the same target and leave the rng where
+    # the one-shot kernel leaves it.  Twin targets make float32 scores tie
+    g = np.random.default_rng(n_q + d)
+    queries, targets = unit_rows(g.normal(size=(n_q, d))), twin_rows(g, n_t, d)
+    got, want = np.random.default_rng(1), np.random.default_rng(1)
+    assert np.array_equal(
+        csls_translate(queries, targets, 10, keep_prob, got),
+        one_shot_csls(queries, targets, 10, retrieval._block_rows(n_t), keep_prob, want))
+    assert np.array_equal(got.random(50), want.random(50))
 
 
 @pytest.mark.parametrize("n_q, n_t, d, rows", [
