@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, TooFewSamplesError
+from .errors import ConfigError, ParseError, TooFewSamplesError, utf8_input
 from .retrieval import _SLICE
 
 
@@ -37,10 +37,6 @@ class Partition:
     @property
     def c(self) -> int:
         return self.centroids.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.assignments.shape[0]
 
     def members(self, cluster_id: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == cluster_id)
@@ -214,7 +210,7 @@ def save_assignments(path, words, assignments: np.ndarray) -> None:
 
 def load_assignments(path, words) -> np.ndarray:
     by_word = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f, utf8_input(path):
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -10,7 +10,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, utf8_input
 from .gan import GanConfig
 from .refinement import RefineConfig
 
@@ -48,7 +48,6 @@ class EvalConfig:
 @dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 0
-    restart_budget: int = 2      # automatic reruns after empty-dictionary failures
     single_restarts: int = 10
     refine_mode: str = "global"  # none | global | local | single
     stop_after: str = ""         # empty = run everything
@@ -72,22 +71,21 @@ _SECTIONS = {
     "evaluation": "evaluation",
 }
 # stop_after is set by `pipeline --stage`, not by a config file
-_RUN_KEYS = {"seed": int, "restart_budget": int, "single_restarts": int,
-             "refine_mode": str}
+_RUN_KEYS = {"seed": int, "single_restarts": int, "refine_mode": str}
 
 
-def _coerce(value: str, to_type):
+def _coerce(name: str, value: str, to_type):
     if to_type is bool:
         low = value.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"expected a boolean, got {value!r}")
+        raise ConfigError(f"{name}: expected a boolean, got {value!r}")
     try:
         return to_type(value)
     except ValueError:
-        raise ConfigError(f"expected {to_type.__name__}, got {value!r}") from None
+        raise ConfigError(f"{name}: expected {to_type.__name__}, got {value!r}") from None
 
 
 def _parse_section(sections: dict, section: str, types: dict) -> dict:
@@ -95,14 +93,15 @@ def _parse_section(sections: dict, section: str, types: dict) -> dict:
     for key, raw in sections[section]:
         if key not in types:
             raise ConfigError(f"[{section}] has unknown key {key!r}")
-        updates[key] = _coerce(raw, types[key])
+        updates[key] = _coerce(f"[{section}] {key}", raw, types[key])
     return updates
 
 
 def load_config(path) -> PipelineConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        read = parser.read(path, encoding="utf-8")
+        with utf8_input(path, ConfigError):
+            read = parser.read(path, encoding="utf-8")
         # items() interpolates, so a bare % raises here rather than at read
         sections = {name: parser.items(name) for name in parser.sections()}
     except configparser.Error as e:
@@ -136,8 +135,6 @@ def validate_config(cfg: PipelineConfig) -> None:
         raise ConfigError(f"lambda_fixed must be in [0, 1], got {cfg.multi.lambda_fixed}")
     if cfg.single_restarts < 1:
         raise ConfigError(f"single_restarts must be >= 1, got {cfg.single_restarts}")
-    if cfg.restart_budget < 0:
-        raise ConfigError(f"restart_budget must be >= 0, got {cfg.restart_budget}")
     for name, value, low in (("data.max_vocab", cfg.data.max_vocab, 1),
                              ("data.normalize_iterations", cfg.data.normalize_iterations, 1),
                              ("clustering.align_csls_k", cfg.cluster.align_csls_k, 1),

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateVectorError, EmptySpaceError, ParseError, TooFewSamplesError
+from .errors import (DegenerateVectorError, EmptySpaceError, ParseError, TooFewSamplesError,
+                     utf8_input)
 
 NORM_TOL = 1e-6
 
@@ -70,21 +71,18 @@ class EmbeddingSpace:
     def index_of(self, word: str) -> int | None:
         return self._index.get(word)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._index
-
 
 def _read_header(f) -> tuple[int, int]:
     header = f.readline()
     parts = header.split()
     if len(parts) != 2:
-        raise ParseError(f"malformed header {header!r}: expected '<count> <dim>'")
+        raise ParseError(f"{f.name}: malformed header {header!r}: expected '<count> <dim>'")
     try:
         count, dim = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ParseError(f"malformed header {header!r}: non-integer fields") from None
+        raise ParseError(f"{f.name}: malformed header {header!r}: non-integer fields") from None
     if count < 0 or dim < 2:
-        raise ParseError(f"malformed header {header!r}: need count >= 0, dim >= 2")
+        raise ParseError(f"{f.name}: malformed header {header!r}: need count >= 0, dim >= 2")
     return count, dim
 
 
@@ -97,7 +95,7 @@ def _parse_per_line(path, max_vocab: int):
     words: list[str] = []
     rows: list[np.ndarray] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f, utf8_input(path):
         count, dim = _read_header(f)
         for lineno, line in enumerate(f, start=2):
             if lineno - 1 > count:
@@ -143,7 +141,7 @@ def _parse_in_c(path, max_vocab: int):
     bodies: list[str] = []
     keep: list[int] = []  # index in `bodies` of each word's first occurrence
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f, utf8_input(path):
         count, dim = _read_header(f)
         for line in itertools.islice(f, count):
             line = line.rstrip("\n")

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the finiteness check
-that the GAN and refinement settings run before their range checks."""
+"""Exception types shared across the package, the finiteness check
+that the GAN and refinement settings run before their range checks, and
+the decoding check of every input file reader."""
 
 import math
+from contextlib import contextmanager
 from dataclasses import fields
 
 
@@ -24,6 +26,17 @@ def check_finite(settings) -> None:
 
 class ParseError(SubmapError):
     """Malformed input file (embedding, dictionary, map, or partition)."""
+
+
+@contextmanager
+def utf8_input(path, error: type[SubmapError] = ParseError):
+    """Raise a UnicodeDecodeError from reading `path` inside the block as
+    `error`, naming the file: every input file is UTF-8 text."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text (byte 0x{e.object[e.start]:02x}: "
+                    f"{e.reason})") from None
 
 
 class EmptySpaceError(SubmapError):

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .embeddings import write_rows
-from .errors import NumericError, ParseError
+from .errors import NumericError, ParseError, utf8_input
 
 if TYPE_CHECKING:
     from .alignment import SubspacePairing
@@ -74,10 +74,6 @@ class PiecewiseMap:
         if len(self.lambdas) != len(self.maps):
             raise ParseError("one lambda per subspace map required")
 
-    @property
-    def dim(self) -> int:
-        return self.maps[0].dim
-
     def apply_source(self, vectors: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Map source rows, each by the map of its source-side subspace."""
         ids = self.pairing.source_partition.assignments[indices]
@@ -126,7 +122,7 @@ def load_matrix(path) -> np.ndarray:
     The header is "<d>" for a d x d matrix or "<rows> <cols>"; blank lines
     are skipped.  A wrong field or row count is a ParseError naming the line.
     """
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f, utf8_input(path):
         header = f.readline()
         lines = [(lineno, line) for lineno, line in enumerate(f, start=2) if line.strip()]
     try:

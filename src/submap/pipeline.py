@@ -38,7 +38,7 @@ from .clustering import (Partition, finch_hierarchy, load_assignments,
 from .config import PipelineConfig, config_digest, derive_seed
 from .embeddings import (EmbeddingSpace, iterative_normalize, load_embeddings,
                          save_embeddings, unit_rows)
-from .errors import ConfigError, EmptyDictionaryError, ParseError, SubmapError
+from .errors import ConfigError, ParseError, SubmapError
 from .evaluation import (evaluate_bli, format_report, per_subspace_accuracy,
                          per_subspace_table, report_to_json)
 from .gan import Trained, random_restart_train
@@ -416,11 +416,11 @@ def stages_for(cfg: PipelineConfig) -> tuple[str, ...]:
     return tuple(order)
 
 
-def run_stage(run: RunDir, cfg: PipelineConfig, name: str, attempt: int = 0) -> dict:
+def run_stage(run: RunDir, cfg: PipelineConfig, name: str) -> dict:
     """Run stage `name`, record it with the files it wrote, and return its metrics."""
     if name not in STAGES or not STAGES[name].included(cfg):
         raise ConfigError(f"stage {name!r} is not part of this configuration")
-    seed = derive_seed(cfg.seed, name, str(attempt))
+    seed = derive_seed(cfg.seed, name, "0")
     started = time.monotonic()
     run.written.clear()
     metrics = STAGES[name].run(run, cfg, seed)
@@ -437,11 +437,10 @@ def _stage_complete(run: RunDir, name: str) -> bool:
 
 
 def run_pipeline(cfg: PipelineConfig, out: str | Path, resume: bool = False) -> RunDir:
-    """Run all configured stages in order.  On EmptyDictionaryError every
-    stage reruns, `normalize` included, with fresh stage seeds, at most
-    `restart_budget` times; any other typed failure, or one past the
-    budget, is recorded in the manifest and re-raised.  A run starts a new
-    manifest; with `resume` it keeps the stages' records, and refuses,
+    """Run all configured stages in order, once.  A typed failure is
+    recorded in the manifest (`failure_stage`, `failure`) and re-raised.
+    A run starts a new manifest; with `resume` it keeps the stages'
+    records and skips each stage whose artifacts exist, and refuses,
     before writing anything, a run directory whose manifest records
     another config's hash."""
     run = RunDir(out)
@@ -452,22 +451,15 @@ def run_pipeline(cfg: PipelineConfig, out: str | Path, resume: bool = False) -> 
         raise ConfigError(f"{run.manifest_path()} records config_hash {recorded}, "
                           f"not this config's {digest}: resume a run with its own config")
     kept = old if resume else {}
+    order = stages_for(cfg)
     run.write_manifest({"stages": kept.get("stages", {}), "timings": kept.get("timings", {}),
                         "config_hash": digest, "master_seed": cfg.seed,
-                        "stage_order": list(stages_for(cfg))})
-    attempt = 0
-    while True:
-        name = "?"
+                        "stage_order": list(order)})
+    for name in order:
         try:
-            for name in stages_for(cfg):
-                if resume and attempt == 0 and _stage_complete(run, name):
-                    continue
-                run_stage(run, cfg, name, attempt=attempt)
-            run.update_manifest(attempt=attempt)
-            return run
+            if not (resume and _stage_complete(run, name)):
+                run_stage(run, cfg, name)
         except SubmapError as e:
-            if not isinstance(e, EmptyDictionaryError) or attempt >= cfg.restart_budget:
-                run.record_failure(name, e)
-                raise
-            attempt += 1
-            resume = False
+            run.record_failure(name, e)
+            raise
+    return run

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSpace, unit_rows
-from .errors import ConfigError, EmptyDictionaryError, ParseError
+from .errors import ConfigError, EmptyDictionaryError, ParseError, utf8_input
 from .mapping import MapFn
 
 # cap on float32 similarities per block (32 MB), keeps memory bounded on big
@@ -45,30 +45,26 @@ def _block_rows(n_cols: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, n_cols))
 
 
-def _row_topk(rows: np.ndarray, k: int) -> np.ndarray:
-    """[n, k]: the k largest entries of each row, in the order introselect
-    leaves them, partitioned a slice of rows at a time in a small buffer.
-    A slice of a transposed block is copied in tiles of `_TILE` columns."""
-    n, m = rows.shape
-    out = np.empty((n, k), dtype=rows.dtype)
-    buf = np.empty((min(_SLICE, n), m), dtype=rows.dtype)
-    tile = m if rows.flags.c_contiguous else _TILE
+def _column_topk(sims: np.ndarray, k: int) -> np.ndarray:
+    """[n_cols, k]: the k largest entries of each column as a row, in the
+    order introselect leaves them, or every entry when a column has fewer
+    than k.  Each slice of `_SLICE` columns is partitioned as a transposed
+    copy in a small buffer, filled a tile of `_TILE` rows at a time, or
+    at once where the transpose is C-contiguous."""
+    cols = sims.T
+    n, m = cols.shape
+    if m < k:
+        return cols.copy()
+    out = np.empty((n, k), dtype=cols.dtype)
+    buf = np.empty((min(_SLICE, n), m), dtype=cols.dtype)
+    tile = m if cols.flags.c_contiguous else _TILE
     for i in range(0, n, _SLICE):
         part = buf[:min(_SLICE, n - i)]
         for j in range(0, m, tile):
-            part[:, j:j + tile] = rows[i:i + _SLICE, j:j + tile]
+            part[:, j:j + tile] = cols[i:i + _SLICE, j:j + tile]
         part.partition(m - k, axis=1)
         out[i:i + _SLICE] = part[:, -k:]
     return out
-
-
-def _column_topk(sims: np.ndarray, k: int) -> np.ndarray:
-    """[n_cols, k]: the k largest entries of each column as a row, or every
-    entry when a column has fewer than k.  Each stripe of columns is
-    partitioned as a contiguous transposed copy, filled a tile of rows at
-    a time."""
-    cols = sims.T
-    return cols.copy() if cols.shape[1] < k else _row_topk(cols, k)
 
 
 def csls_translate(queries, target, k: int, keep_prob: float = 1.0,
@@ -228,7 +224,7 @@ def save_dictionary(path, dictionary: SeedDictionary, source: EmbeddingSpace,
 def load_dictionary_tokens(path) -> list[tuple[str, str]]:
     """Token pairs from a text dictionary, tab- or space-separated."""
     out = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f, utf8_input(path):
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -185,7 +185,7 @@ class TestConfig:
     # Every key a config file may set, per section.  Adding or deleting a
     # knob edits this table.
     INI_SURFACE = {
-        "run": ("seed", "restart_budget", "single_restarts", "refine_mode"),
+        "run": ("seed", "single_restarts", "refine_mode"),
         "data": ("source", "target", "gold", "max_vocab", "normalize_iterations",
                  "normalize"),
         "single_gan": ("epochs", "steps_per_epoch", "batch_size", "lr_generator",
@@ -200,7 +200,7 @@ class TestConfig:
     }
 
     def test_ini_surface(self, tmp_path):
-        assert sum(len(keys) for keys in self.INI_SURFACE.values()) == 39
+        assert sum(len(keys) for keys in self.INI_SURFACE.values()) == 38
         default = PipelineConfig()
         settings = {"run": default, "data": default.data, "single_gan": default.single_gan,
                     "clustering": default.cluster, "multi": default.multi,
@@ -664,28 +664,6 @@ class TestPipeline:
 
 
 class TestRetry:
-    def test_empty_dictionary_reruns_every_stage_with_fresh_seeds(self, tmp_path, synth_dir,
-                                                                  monkeypatch):
-        induce = pipeline.STAGES["induce_dict"].run
-        calls = []
-
-        def empty_once(run, cfg, seed):
-            calls.append(seed)
-            if len(calls) == 1:
-                raise EmptyDictionaryError("forced")
-            return induce(run, cfg, seed)
-
-        monkeypatch.setitem(pipeline.STAGES, "induce_dict",
-                            pipeline.STAGES["induce_dict"]._replace(run=empty_once))
-        cfg = load_config(write_config(tmp_path, synth_dir, refine_mode="single"))
-        manifest = run_pipeline(cfg, tmp_path / "retry").read_manifest()
-        assert manifest["attempt"] == 1 and "failure_stage" not in manifest
-        assert calls == [derive_seed(cfg.seed, "induce_dict", str(a)) for a in (0, 1)]
-        assert sorted(manifest["stages"]) == sorted(stages_for(cfg))
-        for name, stage in manifest["stages"].items():
-            assert stage["seed"] == derive_seed(cfg.seed, name, "1")
-            assert stage["seed"] != derive_seed(cfg.seed, name, "0")
-
     @pytest.mark.parametrize("stage, error", [("induce_dict", EmptyDictionaryError),
                                               ("single_gan", TrainingFailedError)])
     def test_failure_without_retry_is_recorded(self, tmp_path, synth_dir, monkeypatch,
@@ -693,15 +671,21 @@ class TestRetry:
         def failing(run, cfg, seed):
             raise error("forced")
 
-        monkeypatch.setitem(pipeline.STAGES, stage, pipeline.STAGES[stage]._replace(run=failing))
-        cfg_path = set_value(write_config(tmp_path, synth_dir, refine_mode="single"),
-                             "run", "restart_budget", "0")
+        ran = []  # every stage call, in order: a typed failure stops the run
+        for name, entry in list(pipeline.STAGES.items()):
+            def counted(run, cfg, seed, name=name, call=failing if name == stage else entry.run):
+                ran.append(name)
+                return call(run, cfg, seed)
+
+            monkeypatch.setitem(pipeline.STAGES, name, entry._replace(run=counted))
+        cfg_path = write_config(tmp_path, synth_dir, refine_mode="single")
         out = tmp_path / "failed"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 1
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["failure_stage"] == stage
         assert manifest["failure"] == f"{error.__name__}: forced"
-        assert "attempt" not in manifest
+        order = list(stages_for(load_config(cfg_path)))
+        assert ran == order[:order.index(stage) + 1]
 
     def test_a_rerun_starts_a_new_manifest(self, tmp_path, synth_dir, monkeypatch):
         induce = pipeline.STAGES["induce_dict"]
@@ -709,7 +693,7 @@ class TestRetry:
         def failing(run, cfg, seed):
             raise EmptyDictionaryError("forced")
 
-        cfg_path = set_value(write_config(tmp_path, synth_dir), "run", "restart_budget", "0")
+        cfg_path = write_config(tmp_path, synth_dir)
         out = tmp_path / "rerun"
         common = ["--config", str(cfg_path), "--out", str(out)]
 
@@ -723,7 +707,7 @@ class TestRetry:
             monkeypatch.setitem(pipeline.STAGES, "induce_dict", induce)
             assert main(rerun[:1] + common + rerun[1:]) == 0
             doc = manifest()
-            assert "failure" not in doc and "failure_stage" not in doc and doc["attempt"] == 0
+            assert "failure" not in doc and "failure_stage" not in doc
             assert sorted(doc["stages"]) == sorted(doc["stage_order"])
         # a rerun that leaves stages out records none of the last run's
         assert main(["pipeline", *common, "--refine", "single"]) == 0
@@ -862,13 +846,35 @@ class TestCliCommands:
         ("multi_gan", "epochs", "1"),
         # where a run stops is `pipeline --stage`, not a config key
         ("run", "stop_after", "normalize"),
+        # a typed failure stops the run: no automatic rerun to budget
+        ("run", "restart_budget", "2"),
+        # text that is no int, or no boolean
+        ("data", "max_vocab", "many"),
+        ("data", "normalize", "maybe"),
+        ("run", "refine_mode", "both"),
+        ("run", "single_restarts", "0"),
+        ("multi", "lambda_mode", "static"),
+        ("multi", "lambda_fixed", "1.5"),
+        ("single_gan", "batch_size", "0"),
+        ("single_gan", "epochs", "-1"),
+        ("single_gan", "lr_decay", "0"),
+        ("single_gan", "beta", "0"),
+        ("single_gan", "smoothing", "0.5"),
+        ("single_gan", "dis_dropout", "1"),
+        ("refinement", "p0", "0"),
+        ("refinement", "multiplier", "1"),
+        ("refinement", "max_iters", "0"),
     ])
-    def test_bad_value_exits_at_config_load(self, tmp_path, synth_dir, section, key,
+    def test_bad_value_exits_at_config_load(self, tmp_path, synth_dir, capsys, section, key,
                                             value):
         cfg_path = set_value(write_config(tmp_path, synth_dir), section, key, value)
         out = tmp_path / "x"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not (out / "manifest.json").exists()
+        err = capsys.readouterr().err
+        # the message names the key, or an unknown section
+        assert err.startswith("config error: ")
+        assert (f"[{section}]" if section == "multi_gan" else key) in err
 
     @pytest.mark.parametrize("old,new", [
         ("single_restarts = 1\n", "single_restarts = 1\nsingle_restarts = 2\n"),
@@ -929,6 +935,37 @@ class TestCliCommands:
         assert manifest["failure_stage"] == "normalize"
         assert not (out / "single_map.txt").exists()
 
+    @pytest.mark.parametrize("name, command, stage", [
+        ("run.ini", ["pipeline"], None),
+        ("source.vec", ["pipeline"], "normalize"),
+        ("gold.tsv", ["pipeline", "--refine", "single"], "eval"),
+        ("source_partition.tsv", ["eval-bli"], None),
+        ("source_centroids.txt", ["eval-bli"], None),
+    ], ids=["config", "embeddings", "gold", "partition", "centroids"])
+    def test_input_that_is_not_utf8_names_the_file(self, tmp_path, synth_dir, capsys, name,
+                                                   command, stage):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "run"
+        common = ["--config", str(cfg_path), "--out", str(out)]
+        if command[0] != "pipeline":  # a run directory's file, read by a stage subcommand
+            assert main(["pipeline", *common]) == 0
+        path = next(p for p in (tmp_path / name, data / name, out / name) if p.exists())
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = b"\xe9" + lines[1]  # the first byte of a token, or of a section header
+        path.write_bytes(b"\n".join(lines))
+        rc = main(command[:1] + common + command[1:])
+        err = capsys.readouterr().err
+        assert rc == (2 if name == "run.ini" else 1)
+        assert f"{path}: not UTF-8 text (byte 0xe9: " in err
+        if name == "run.ini":
+            assert err.startswith("config error: ") and not out.exists()
+        if stage:
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            assert manifest["failure_stage"] == stage
+            assert manifest["failure"].startswith(f"ParseError: {path}: not UTF-8 text")
+
     @pytest.mark.parametrize("flag, value", [("--separation", "inf"),
                                              ("--noise-sigma", "nan")])
     def test_synth_gen_rejects_non_finite_parameters(self, tmp_path, flag, value):
@@ -976,34 +1013,42 @@ class TestCliCommands:
             assert not run.manifest_path().exists()
             assert not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("setting, command", [
-        (("data", "gold", ""), ["eval-bli"]),
-        (("run", "refine_mode", "single"), ["cluster"]),
-        (("run", "refine_mode", "single"), ["train-multi"]),
-        (None, ["pipeline", "--stage", "bogus"]),
-        (None, ["pipeline", "--stage", "align"]),
+    @pytest.mark.parametrize("setting, command, message", [
+        (("data", "gold", ""), ["eval-bli"], "stage 'eval'"),
+        (("run", "refine_mode", "single"), ["cluster"], "stage 'cluster'"),
+        (("run", "refine_mode", "single"), ["train-multi"], "stage 'multi_gan'"),
+        (None, ["pipeline", "--stage", "bogus"], "stage 'bogus'"),
+        (None, ["pipeline", "--stage", "align"], "stage 'align'"),
+        (("data", "source", ""), ["normalize"], "data.source and data.target"),
     ], ids=["eval-bli-without-gold", "cluster-single", "train-multi-single",
-            "pipeline-stage-bogus", "pipeline-stage-align"])
+            "pipeline-stage-bogus", "pipeline-stage-align", "normalize-without-source"])
     def test_refused_command_writes_nothing(self, tmp_path, synth_dir, capsys, setting,
-                                            command):
+                                            command, message):
         cfg_path = write_config(tmp_path, synth_dir)
         if setting:
             set_value(cfg_path, *setting)
         out = tmp_path / "refused"
         assert main(command[:1] + ["--config", str(cfg_path), "--out", str(out)]
                     + command[1:]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
         assert not out.exists()
 
     def test_flag_overrides(self, tmp_path, synth_dir):
         cfg_path = write_config(tmp_path, synth_dir)
         out = tmp_path / "override"
         rc = main(["pipeline", "--config", str(cfg_path), "--out", str(out),
-                   "--seed", "99", "--refine", "single", "--stage", "single_gan"])
+                   "--seed", "99", "--refine", "single", "--stage", "single_gan",
+                   "--restarts", "2", "--level", "second_to_last"])
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["master_seed"] == 99
         assert set(manifest["stages"]) == {"normalize", "single_gan"}
+        assert manifest["stages"]["single_gan"]["metrics"]["restarts"] == 2
+        cfg = load_config(cfg_path)
+        overridden = replace(cfg, seed=99, refine_mode="single", single_restarts=2,
+                             cluster=replace(cfg.cluster, level="second_to_last"))
+        assert manifest["config_hash"] == config_digest(overridden)
 
 
 class TestReadmeRecipes:

@@ -286,3 +286,10 @@ def test_non_integer_cluster_id_names_file_and_line(tmp_path):
     path.write_text("w0\t0\nw1\tx\n", encoding="utf-8")
     with pytest.raises(ParseError, match=r"p\.tsv line 2"):
         load_assignments(path, ("w0", "w1"))
+
+
+def test_missing_token_names_file_and_token(tmp_path):
+    path = tmp_path / "p.tsv"
+    path.write_text("w0\t0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"p\.tsv: no cluster id for token 'w1'"):
+        load_assignments(path, ("w0", "w1"))

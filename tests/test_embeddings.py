@@ -67,9 +67,21 @@ def test_load_duplicates_do_not_consume_max_vocab(tmp_path):
 
 
 def test_load_malformed_header(tmp_path):
-    path = write_vec_file(tmp_path / "e.vec", ["a 1 0"], header="not a header at all")
-    with pytest.raises(ParseError):
-        load_embeddings(path, max_vocab=10)
+    for header, why in (("not a header at all", "expected '<count> <dim>'"),
+                        ("1 2.5", "non-integer fields"),
+                        ("-1 2", "need count >= 0, dim >= 2")):
+        path = write_vec_file(tmp_path / "e.vec", ["a 1 0"], header=header)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: malformed header')}"
+                                             f".*{re.escape(why)}$"):
+            load_embeddings(path, max_vocab=10)
+
+
+@pytest.mark.parametrize("parse", [embeddings._parse_in_c, embeddings._parse_per_line])
+def test_bytes_that_are_not_utf8_name_the_file(tmp_path, parse):
+    path = tmp_path / "e.vec"
+    path.write_bytes(b"2 2\na 1 0\n\xe9b 0 1\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8 text (byte 0xe9: ")):
+        parse(path, 10)
 
 
 def test_load_wrong_float_count_reports_line(tmp_path):

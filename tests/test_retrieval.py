@@ -96,6 +96,10 @@ class TestCslsTranslate:
             csls_translate(small_space.vectors, small_space, 2, keep_prob,
                            np.random.default_rng(0))
 
+    def test_dropout_needs_an_rng(self, small_space):
+        with pytest.raises(ConfigError, match="keep_prob < 1 requires an rng"):
+            csls_translate(small_space.vectors, small_space, 2, keep_prob=0.5)
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), scale=st.floats(0.1, 10.0))
     def test_invariant_under_uniform_target_rescaling(self, seed, scale):
