@@ -28,8 +28,6 @@ class DataConfig:
 @dataclass(frozen=True)
 class ClusterConfig:
     level: str = "last"          # last | second_to_last | <index>
-    min_cluster_size: int = 0    # 0 -> max(2 d, 32)
-    align_csls_k: int = 10
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,6 @@ class MultiGanConfig:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    csls_k: int = 10
     per_subspace: bool = True
     vocab_limit: int = 50000
 
@@ -137,9 +134,6 @@ def validate_config(cfg: PipelineConfig) -> None:
         raise ConfigError(f"single_restarts must be >= 1, got {cfg.single_restarts}")
     for name, value, low in (("data.max_vocab", cfg.data.max_vocab, 1),
                              ("data.normalize_iterations", cfg.data.normalize_iterations, 1),
-                             ("clustering.align_csls_k", cfg.cluster.align_csls_k, 1),
-                             ("clustering.min_cluster_size", cfg.cluster.min_cluster_size, 0),
-                             ("evaluation.csls_k", cfg.evaluation.csls_k, 1),
                              ("evaluation.vocab_limit", cfg.evaluation.vocab_limit, 1)):
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")

@@ -106,13 +106,12 @@ def _parse_per_line(path, max_vocab: int):
             fields = line.split(" ")
             token = fields[0]
             if len(fields) != dim + 1:
-                raise ParseError(
-                    f"line {lineno}: expected {dim} floats for {token!r}, got {len(fields) - 1}"
-                )
+                raise ParseError(f"{path} line {lineno}: expected {dim} floats for {token!r}, "
+                                 f"got {len(fields) - 1}")
             try:
                 vec = np.array(fields[1:], dtype=np.float64)
             except ValueError:
-                raise ParseError(f"line {lineno}: unparseable float for {token!r}") from None
+                raise ParseError(f"{path} line {lineno}: unparseable float for {token!r}") from None
             if token in seen:
                 continue
             seen.add(token)

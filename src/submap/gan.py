@@ -267,6 +267,19 @@ def train_single_gan(source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanCon
     return _train(identity_map(source.dim), games, source, target, cfg, rng, start_crit)
 
 
+def train_each(train, jobs) -> list[Trained | None]:
+    """`train(*job)` for each job, in order; None for a job whose training
+    diverged (raised NumericError).  The jobs are independent games, each
+    drawing from its own rng."""
+    results: list[Trained | None] = []
+    for job in jobs:
+        try:
+            results.append(train(*job))
+        except NumericError:
+            results.append(None)
+    return results
+
+
 def random_restart_train(source: EmbeddingSpace, target: EmbeddingSpace, cfg: GanConfig,
                          restarts: int = 10) -> tuple[Trained, list[Trained | None]]:
     """Train with seeds seed..seed+restarts-1.  Returns the result with the
@@ -277,20 +290,8 @@ def random_restart_train(source: EmbeddingSpace, target: EmbeddingSpace, cfg: Ga
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
     _check_pair(source, target, cfg)
     start_crit = _criterion(identity_map(source.dim), source, target, cfg)
-    runs: list[Trained | None] = []
-    failures = []
-    best: Trained | None = None
-    for i in range(restarts):
-        run_cfg = replace(cfg, seed=cfg.seed + i)
-        try:
-            trained = train_single_gan(source, target, run_cfg, start_crit)
-        except NumericError as e:
-            runs.append(None)
-            failures.append(str(e))
-            continue
-        runs.append(trained)
-        if best is None or trained.criterion > best.criterion:
-            best = trained
-    if best is None:
-        raise TrainingFailedError(f"all {restarts} restarts failed: {failures}")
-    return best, runs
+    runs = train_each(train_single_gan, [(source, target, replace(cfg, seed=cfg.seed + i),
+                                          start_crit) for i in range(restarts)])
+    if not any(runs):
+        raise TrainingFailedError(f"all {restarts} restarts diverged")
+    return max(filter(None, runs), key=lambda r: r.criterion), runs

@@ -15,8 +15,8 @@ import numpy as np
 
 from .alignment import SubspacePairing
 from .embeddings import EmbeddingSpace
-from .errors import NumericError
-from .gan import GanConfig, Game, Trained, language_game, _mixed_loss_and_grad, _train
+from .gan import (GanConfig, Game, Trained, language_game, train_each, _mixed_loss_and_grad,
+                  _train)
 from .mapping import LinearMap, PiecewiseMap
 from .numerics import MlpDiscriminator, covariance_eigenvalues, init_discriminator
 
@@ -93,23 +93,16 @@ def train_multi_gan(single_map: LinearMap, pairing: SubspacePairing,
     its result is None.
     """
     cfg.validate()
-    whole = evd(source.vectors, target.vectors) if lambda_fixed is None else None
-    maps: list[LinearMap] = []
-    lambdas: list[float] = []
-    runs: list[Trained | None] = []
-    for cluster_id in map(int, pairing.cluster_ids()):
-        if lambda_fixed is not None:
-            lam = float(lambda_fixed)
-        else:
-            lam = dynamic_lambda(source.vectors[pairing.source_members(cluster_id)],
-                                 target.vectors[pairing.target_members(cluster_id)],
-                                 source.vectors, target.vectors, whole_evd=whole)
-        try:
-            trained = train_subspace_gan(cluster_id, single_map, pairing, source, target,
-                                         cfg, lam)
-        except NumericError:
-            trained = None
-        maps.append(trained.map if trained else LinearMap(single_map.w.copy()))
-        lambdas.append(lam)
-        runs.append(trained)
-    return PiecewiseMap(pairing, tuple(maps), tuple(lambdas)), runs
+    cluster_ids = [int(c) for c in pairing.cluster_ids()]
+    if lambda_fixed is not None:
+        lambdas = [float(lambda_fixed)] * len(cluster_ids)
+    else:
+        whole = evd(source.vectors, target.vectors)
+        lambdas = [dynamic_lambda(source.vectors[pairing.source_members(c)],
+                                  target.vectors[pairing.target_members(c)],
+                                  source.vectors, target.vectors, whole_evd=whole)
+                   for c in cluster_ids]
+    runs = train_each(train_subspace_gan, [(c, single_map, pairing, source, target, cfg, lam)
+                                           for c, lam in zip(cluster_ids, lambdas)])
+    maps = tuple(r.map if r else LinearMap(single_map.w.copy()) for r in runs)
+    return PiecewiseMap(pairing, maps, tuple(lambdas)), runs

@@ -181,6 +181,9 @@ class RunDir:
             "metrics": metrics,
         }
         doc.setdefault("timings", {})[name] = round(seconds, 3)
+        if doc.get("failure_stage") == name:  # this success supersedes the failure
+            doc.pop("failure_stage")
+            doc.pop("failure", None)
         self.write_manifest(doc)
 
     def record_failure(self, name: str, error: Exception) -> None:
@@ -278,11 +281,10 @@ def stage_cluster(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     source, target = _load_normalized(run, cfg)
     hierarchy = finch_hierarchy(source.vectors)
     partition = select_level(hierarchy, cfg.cluster.level)
-    min_size = cfg.cluster.min_cluster_size or max(2 * source.dim, 32)
-    partition = merge_small_clusters(partition, source.vectors, min_size)
+    partition = merge_small_clusters(partition, source.vectors, max(2 * source.dim, 32))
     # pair each cluster with the target words the single map sends back into it
     pairing, merged = partition_target_with_merge(run.load_map("single_map.txt"), partition,
-                                                  source, target, k=cfg.cluster.align_csls_k)
+                                                  source, target)
     paired = pairing.source_partition
     run.save_assignments("source_partition.tsv", source.words, paired.assignments)
     run.save_matrix("source_centroids.txt", paired.centroids)
@@ -351,8 +353,7 @@ def stage_induce_dict(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     source, target = _load_normalized(run, cfg)
     fwd, bwd, _ = load_final_mapping(run, source, target)
     dictionary = induce_seed_dictionary(fwd, bwd, source, target,
-                                        vocab_limit=cfg.refine.vocab_limit,
-                                        k=cfg.refine.csls_k)
+                                        vocab_limit=cfg.refine.vocab_limit)
     save_dictionary(run.out("seed_dict.tsv"), dictionary, source, target)
     return {"pairs": len(dictionary)}
 
@@ -365,12 +366,10 @@ def stage_eval(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     if cfg.evaluation.per_subspace and STAGES["cluster"].included(cfg):
         partition = _load_partition(run, source)
         report = per_subspace_accuracy(fwd, partition, gold, source, target,
-                                       vocab_limit=cfg.evaluation.vocab_limit,
-                                       k=cfg.evaluation.csls_k)
+                                       vocab_limit=cfg.evaluation.vocab_limit)
         run.out("per_subspace.tsv").write_text(per_subspace_table(report), encoding="utf-8")
     else:
-        report = evaluate_bli(fwd, gold, source, target, k=cfg.evaluation.csls_k,
-                              max_rank=cfg.evaluation.vocab_limit)
+        report = evaluate_bli(fwd, gold, source, target, max_rank=cfg.evaluation.vocab_limit)
         # a table from an earlier evaluation would not match this report
         run.path("per_subspace.tsv").unlink(missing_ok=True)
     run.out("report.json").write_text(report_to_json(report), encoding="utf-8")
@@ -417,13 +416,24 @@ def stages_for(cfg: PipelineConfig) -> tuple[str, ...]:
 
 
 def run_stage(run: RunDir, cfg: PipelineConfig, name: str) -> dict:
-    """Run stage `name`, record it with the files it wrote, and return its metrics."""
+    """Run stage `name`, record it with the files it wrote, and return its
+    metrics.  A failure (exit 1: a typed error or an OSError) is recorded
+    in the manifest (`failure_stage`, `failure`) and re-raised, and a later
+    success of the stage drops it.  A ConfigError is a refusal (exit 2),
+    not recorded; a stage the config leaves out is refused before
+    anything is written."""
     if name not in STAGES or not STAGES[name].included(cfg):
         raise ConfigError(f"stage {name!r} is not part of this configuration")
     seed = derive_seed(cfg.seed, name, "0")
     started = time.monotonic()
     run.written.clear()
-    metrics = STAGES[name].run(run, cfg, seed)
+    try:
+        metrics = STAGES[name].run(run, cfg, seed)
+    except ConfigError:
+        raise
+    except (SubmapError, OSError) as e:
+        run.record_failure(name, e)
+        raise
     run.record_stage(name, seed, metrics, time.monotonic() - started)
     return metrics
 
@@ -437,12 +447,11 @@ def _stage_complete(run: RunDir, name: str) -> bool:
 
 
 def run_pipeline(cfg: PipelineConfig, out: str | Path, resume: bool = False) -> RunDir:
-    """Run all configured stages in order, once.  A typed failure is
-    recorded in the manifest (`failure_stage`, `failure`) and re-raised.
-    A run starts a new manifest; with `resume` it keeps the stages'
-    records and skips each stage whose artifacts exist, and refuses,
-    before writing anything, a run directory whose manifest records
-    another config's hash."""
+    """Run all configured stages in order, once; `run_stage` records a
+    failure and re-raises it.  A run starts a new manifest; with `resume`
+    it keeps the stages' records and skips each stage whose artifacts
+    exist, and refuses, before writing anything, a run directory whose
+    manifest records another config's hash."""
     run = RunDir(out)
     digest = config_digest(cfg)
     old = run.read_manifest()  # a damaged manifest is refused, not overwritten
@@ -456,10 +465,6 @@ def run_pipeline(cfg: PipelineConfig, out: str | Path, resume: bool = False) -> 
                         "config_hash": digest, "master_seed": cfg.seed,
                         "stage_order": list(order)})
     for name in order:
-        try:
-            if not (resume and _stage_complete(run, name)):
-                run_stage(run, cfg, name)
-        except SubmapError as e:
-            run.record_failure(name, e)
-            raise
+        if not (resume and _stage_complete(run, name)):
+            run_stage(run, cfg, name)
     return run

@@ -17,29 +17,27 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .embeddings import EmbeddingSpace, unit_rows
-from .errors import ConfigError, EmptyDictionaryError, check_finite
+from .errors import ConfigError, EmptyDictionaryError
 from .mapping import LinearMap, PiecewiseMap, identity_map
 from .retrieval import SeedDictionary, induce_seed_dictionary
+
+# VecMap's stochastic dictionary induction schedule (arXiv 1805.06297):
+# the first keep probability, its factor after a round that improves the
+# objective by less than the threshold, and that threshold
+_P0 = 0.1
+_MULTIPLIER = 2.0
+_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
 class RefineConfig:
-    p0: float = 0.1
-    multiplier: float = 2.0
-    threshold: float = 1e-6
     max_iters: int = 50
     vocab_limit: int = 10000
-    csls_k: int = 10
     seed: int = 0
 
     def validate(self) -> "RefineConfig":
-        check_finite(self)
-        if not 0.0 < self.p0 <= 1.0:
-            raise ConfigError(f"p0 must be in (0, 1], got {self.p0}")
-        if self.multiplier <= 1.0:
-            raise ConfigError(f"multiplier must exceed 1, got {self.multiplier}")
-        if self.max_iters < 1 or self.vocab_limit < 1 or self.csls_k < 1:
-            raise ConfigError("max_iters, vocab_limit and csls_k must be positive")
+        if self.max_iters < 1 or self.vocab_limit < 1:
+            raise ConfigError("max_iters and vocab_limit must be positive")
         return self
 
 
@@ -81,7 +79,7 @@ def refine_linear(initial: LinearMap, source: EmbeddingSpace, target: EmbeddingS
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    keep_prob = cfg.p0
+    keep_prob = _P0
     best_map: LinearMap | None = None
     best_objective = -np.inf
     fallback: tuple[float, LinearMap] | None = None
@@ -94,8 +92,7 @@ def refine_linear(initial: LinearMap, source: EmbeddingSpace, target: EmbeddingS
             dictionary = induce_seed_dictionary(proposer.apply_source,
                                                 proposer.apply_target_back, source, target,
                                                 vocab_limit=cfg.vocab_limit,
-                                                k=cfg.csls_k, keep_prob=keep_prob,
-                                                rng=rng)
+                                                keep_prob=keep_prob, rng=rng)
         except EmptyDictionaryError as e:
             raise EmptyDictionaryError(
                 f"induction produced no pairs at refinement iteration {iteration}: {e}"
@@ -106,7 +103,7 @@ def refine_linear(initial: LinearMap, source: EmbeddingSpace, target: EmbeddingS
         # dictionaries below d pairs are fit exactly by an orthogonal map,
         # so their objective says nothing; they may not claim the snapshot
         if len(dictionary) >= source.dim:
-            improved = objective - best_objective >= cfg.threshold
+            improved = objective - best_objective >= _THRESHOLD
             if objective > best_objective:
                 best_map, best_objective = m, objective
         else:
@@ -116,7 +113,7 @@ def refine_linear(initial: LinearMap, source: EmbeddingSpace, target: EmbeddingS
         if not improved:
             if keep_prob >= 1.0:
                 break
-            keep_prob = min(1.0, keep_prob * cfg.multiplier)
+            keep_prob = min(1.0, keep_prob * _MULTIPLIER)
     if best_map is None:
         assert fallback is not None
         best_objective, best_map = fallback

@@ -46,10 +46,8 @@ csls_k = 5
 [refinement]
 vocab_limit = 600
 max_iters = 6
-csls_k = 5
 
 [evaluation]
-csls_k = 5
 """
 
 
@@ -174,9 +172,6 @@ class TestConfig:
         for section, key, value in (("data", "max_vocab", "1"),
                                     ("data", "normalize_iterations", "1"),
                                     ("clustering", "level", "0"),
-                                    ("clustering", "min_cluster_size", "0"),
-                                    ("clustering", "align_csls_k", "1"),
-                                    ("evaluation", "csls_k", "1"),
                                     ("evaluation", "vocab_limit", "1")):
             set_value(cfg_path, section, key, value)
         cfg = load_config(cfg_path)
@@ -192,15 +187,14 @@ class TestConfig:
                        "lr_discriminator", "lr_decay", "beta", "smoothing",
                        "dis_freq_vocab", "dis_steps_per_gen_step", "dis_hidden",
                        "dis_dropout", "dis_leaky_slope", "criterion_vocab", "csls_k"),
-        "clustering": ("level", "min_cluster_size", "align_csls_k"),
+        "clustering": ("level",),
         "multi": ("lambda_mode", "lambda_fixed"),
-        "refinement": ("p0", "multiplier", "threshold", "max_iters", "vocab_limit",
-                       "csls_k"),
-        "evaluation": ("csls_k", "per_subspace", "vocab_limit"),
+        "refinement": ("max_iters", "vocab_limit"),
+        "evaluation": ("per_subspace", "vocab_limit"),
     }
 
     def test_ini_surface(self, tmp_path):
-        assert sum(len(keys) for keys in self.INI_SURFACE.values()) == 38
+        assert sum(len(keys) for keys in self.INI_SURFACE.values()) == 31
         default = PipelineConfig()
         settings = {"run": default, "data": default.data, "single_gan": default.single_gan,
                     "clustering": default.cluster, "multi": default.multi,
@@ -208,13 +202,15 @@ class TestConfig:
         assert settings.keys() == self.INI_SURFACE.keys()
         path = tmp_path / "one_key.ini"
         for section, obj in settings.items():
-            for f in fields(obj):
-                value = getattr(obj, f.name)
-                if is_dataclass(value):
-                    continue
-                path.write_text(f"[{section}]\n{f.name} = {value}\n", encoding="utf-8")
-                if f.name in self.INI_SURFACE[section]:
-                    assert load_config(path) == default, (section, f.name)
+            values = {f.name: getattr(obj, f.name) for f in fields(obj)
+                      if not is_dataclass(getattr(obj, f.name))}
+            # every listed key is a field, so the table lists no deleted knob ...
+            assert set(self.INI_SURFACE[section]) <= values.keys(), section
+            for name, value in values.items():
+                path.write_text(f"[{section}]\n{name} = {value}\n", encoding="utf-8")
+                # ... and every field loads exactly when it is listed
+                if name in self.INI_SURFACE[section]:
+                    assert load_config(path) == default, (section, name)
                 else:
                     with pytest.raises(ConfigError, match="unknown key"):
                         load_config(path)
@@ -687,6 +683,43 @@ class TestRetry:
         order = list(stages_for(load_config(cfg_path)))
         assert ran == order[:order.index(stage) + 1]
 
+    @pytest.mark.parametrize("driver", ["pipeline", "subcommand"])
+    @pytest.mark.parametrize("name, text, stage, failure", [
+        ("gold.tsv", "nothing\tnowhere\n", "eval",
+         "EmptyEvaluationError: no gold entry is evaluable"),
+        ("gold.tsv", None, "eval", "FileNotFoundError: [Errno 2]"),
+        ("source.vec", None, "normalize", "FileNotFoundError: [Errno 2]"),
+    ], ids=["gold-without-an-evaluable-entry", "gold-missing", "source-missing"])
+    def test_both_drivers_record_a_failure(self, tmp_path, synth_dir, capsys, driver, name,
+                                           text, stage, failure):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        out = tmp_path / "run"
+        common = ["--config", str(write_config(tmp_path, data, refine_mode="single")),
+                  "--out", str(out)]
+        command = "pipeline" if driver == "pipeline" else pipeline.STAGES[stage].command
+        if driver == "subcommand":  # the stage reads the files earlier stages wrote
+            assert main(["pipeline", *common]) == 0
+        path = data / name
+        kept = path.read_bytes()
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text, encoding="utf-8")
+
+        def manifest():
+            return json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+
+        assert main([command, *common]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert manifest()["failure_stage"] == stage
+        assert manifest()["failure"].startswith(failure)
+        # a later success of the stage drops the record
+        path.write_bytes(kept)
+        assert main([command, *common]) == 0
+        assert "failure" not in manifest() and "failure_stage" not in manifest()
+        assert stage in manifest()["stages"]
+
     def test_a_rerun_starts_a_new_manifest(self, tmp_path, synth_dir, monkeypatch):
         induce = pipeline.STAGES["induce_dict"]
 
@@ -824,11 +857,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("section,key,value", [
         ("data", "max_vocab", "0"),
         ("data", "normalize_iterations", "0"),
-        ("clustering", "align_csls_k", "0"),
-        ("clustering", "min_cluster_size", "-1"),
         ("clustering", "level", "lats"),
         ("clustering", "level", "-1"),
-        ("evaluation", "csls_k", "0"),
         ("evaluation", "vocab_limit", "0"),
         # the per-subspace table groups by the run's own partition only
         ("evaluation", "kmeans_k", "3"),
@@ -836,8 +866,6 @@ class TestCliCommands:
         ("single_gan", "lr_generator", "nan"),
         ("single_gan", "lr_discriminator", "inf"),
         ("single_gan", "beta", "inf"),
-        ("refinement", "multiplier", "nan"),
-        ("refinement", "threshold", "nan"),
         # stage seeds derive from [run] seed alone
         ("single_gan", "seed", "123"),
         ("refinement", "seed", "77"),
@@ -861,16 +889,30 @@ class TestCliCommands:
         ("single_gan", "beta", "0"),
         ("single_gan", "smoothing", "0.5"),
         ("single_gan", "dis_dropout", "1"),
-        ("refinement", "p0", "0"),
-        ("refinement", "multiplier", "1"),
         ("refinement", "max_iters", "0"),
+        # published constants of CSLS (MUSE) and of stochastic induction
+        # (VecMap), not keys: unknown at any value, their old defaults included
+        ("clustering", "min_cluster_size", "0"),
+        ("clustering", "min_cluster_size", "-1"),
+        ("clustering", "align_csls_k", "10"),
+        ("clustering", "align_csls_k", "0"),
+        ("refinement", "csls_k", "10"),
+        ("evaluation", "csls_k", "10"),
+        ("evaluation", "csls_k", "0"),
+        ("refinement", "p0", "0.1"),
+        ("refinement", "p0", "0"),
+        ("refinement", "multiplier", "2.0"),
+        ("refinement", "multiplier", "1"),
+        ("refinement", "multiplier", "nan"),
+        ("refinement", "threshold", "1e-6"),
+        ("refinement", "threshold", "nan"),
     ])
     def test_bad_value_exits_at_config_load(self, tmp_path, synth_dir, capsys, section, key,
                                             value):
         cfg_path = set_value(write_config(tmp_path, synth_dir), section, key, value)
         out = tmp_path / "x"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
         err = capsys.readouterr().err
         # the message names the key, or an unknown section
         assert err.startswith("config error: ")

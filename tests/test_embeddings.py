@@ -90,6 +90,15 @@ def test_load_wrong_float_count_reports_line(tmp_path):
         load_embeddings(path, max_vocab=10)
 
 
+@pytest.mark.parametrize("line, why", [("b 1 0", "expected 3 floats for 'b', got 2"),
+                                       ("b 1 x 0", "unparseable float for 'b'")])
+def test_line_error_names_the_file(tmp_path, line, why):
+    # with two embedding inputs, the message must say which one is malformed
+    path = write_vec_file(tmp_path / "target.vec", ["a 1 0 0", line], header="2 3")
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path} line 3: {why}')}$"):
+        load_embeddings(path, max_vocab=10)
+
+
 @pytest.mark.parametrize("text", ["1_0", "\u0661\u0662", "nan", "-inf", "1e400", "5e-324",
                                   "", "1,0", "0x1p3"])
 def test_load_parses_each_value_as_float_does(tmp_path, text):

@@ -488,7 +488,8 @@ class TestDivergence:
     def test_every_restart_diverging_raises(self, small_space):
         target = make_space(small_space.n, small_space.dim, seed=15)
         cfg = replace(SMALL, lr_discriminator=1e200, criterion_vocab=small_space.n)
-        with np.errstate(all="ignore"), pytest.raises(TrainingFailedError):
+        with np.errstate(all="ignore"), pytest.raises(TrainingFailedError,
+                                                      match="^all 3 restarts diverged$"):
             random_restart_train(small_space, target, cfg, restarts=3)
 
     def test_diverged_restarts_are_skipped(self, small_space, monkeypatch):

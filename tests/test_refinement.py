@@ -6,6 +6,7 @@ from submap.alignment import SubspacePairing
 from submap.clustering import Partition, cluster_centroids
 from submap.embeddings import EmbeddingSpace, unit_rows
 from submap.errors import EmptyDictionaryError
+from submap import refinement
 from submap.mapping import LinearMap, PiecewiseMap, identity_map
 from submap.refinement import (RefineConfig, global_refine, local_refine, procrustes,
                                refine_linear)
@@ -14,7 +15,7 @@ from submap.synthetic import generate_instance, random_orthogonal
 
 from conftest import make_space
 
-CFG = RefineConfig(vocab_limit=10000, csls_k=10, seed=3)
+CFG = RefineConfig(vocab_limit=10000, seed=3)
 
 
 def identity_dictionary(n):
@@ -99,10 +100,11 @@ class TestStochasticRefine:
                      if s.objective > max([-np.inf] + [t.objective for t in log[:i]])]
         assert len(improving) <= 3
 
-    def test_keep_prob_one_is_deterministic(self):
+    def test_keep_prob_one_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr(refinement, "_P0", 1.0)
         source = make_space(40, 5, seed=5)
         target = make_space(40, 5, seed=6)
-        cfg = replace(CFG, p0=1.0, vocab_limit=40)
+        cfg = replace(CFG, vocab_limit=40)
         a, _, log_a = refine_linear(identity_map(5), source, target, cfg)
         b, _, log_b = refine_linear(identity_map(5), source, target, cfg)
         assert np.array_equal(a.w, b.w)
@@ -156,7 +158,7 @@ class TestStochasticRefine:
         _, _, log = refine_linear(identity_map(4), source, target,
                                   replace(CFG, vocab_limit=30, max_iters=30))
         probs = [s.keep_prob for s in log]
-        assert probs[0] == CFG.p0
+        assert probs[0] == refinement._P0
         assert all(b == a or b == min(1.0, a * 2.0) for a, b in zip(probs, probs[1:]))
         assert max(probs) <= 1.0
 
@@ -174,13 +176,14 @@ class TestGlobalRefine:
         refined, _, _ = global_refine(pm, space, space, replace(CFG, vocab_limit=100))
         assert np.max(np.abs(refined.maps[0].w - np.eye(6))) < 1e-3
 
-    def test_single_subspace_matches_direct_refinement(self):
+    def test_single_subspace_matches_direct_refinement(self, monkeypatch):
+        monkeypatch.setattr(refinement, "_P0", 1.0)
         inst = generate_instance(1, 120, 6, 5.0, 0.005, seed=13)
         q = random_orthogonal(6, 14)
         target = EmbeddingSpace(inst.source.words,
                                 unit_rows(inst.source.vectors @ q.T))
         start = LinearMap(in_plane_rotation(q, 0.2, 6, seed=3))
-        cfg = replace(CFG, p0=1.0, vocab_limit=120)
+        cfg = replace(CFG, vocab_limit=120)
         pm = one_piece_map(start, inst.source)
         via_global, _, _ = global_refine(pm, inst.source, target, cfg)
         direct, _, _ = refine_linear(start, inst.source, target, cfg)
