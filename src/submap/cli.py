@@ -23,10 +23,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="INI config file")
     p.add_argument("--out", required=True, help="run directory for artifacts")
     p.add_argument("--seed", type=int, default=None, help="override master seed")
-    p.add_argument("--restarts", type=int, default=None,
-                   help="override single-GAN restart count")
-    p.add_argument("--level", default=None,
-                   help="override cluster level policy (last|second_to_last|<index>)")
     p.add_argument("--refine", default=None, choices=["none", "global", "local", "single"],
                    help="override refinement mode")
 
@@ -35,11 +31,7 @@ def _resolve(args) -> PipelineConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "restarts", None) is not None:
-        cfg = replace(cfg, single_restarts=args.restarts)
-    if getattr(args, "level", None) is not None:
-        cfg = replace(cfg, cluster=replace(cfg.cluster, level=args.level))
-    if getattr(args, "refine", None) is not None:
+    if args.refine is not None:
         cfg = replace(cfg, refine_mode=args.refine)
     if getattr(args, "stage", None):
         cfg = replace(cfg, stop_after=args.stage)

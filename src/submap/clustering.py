@@ -154,19 +154,13 @@ def finch_hierarchy(vectors: np.ndarray) -> ClusterHierarchy:
 
 
 def select_level(hierarchy: ClusterHierarchy, policy: str) -> Partition:
-    """Pick a hierarchy level: 'last', 'second_to_last', or an integer index."""
+    """Pick a hierarchy level: 'last', or 'second_to_last' (the last when it is the only one)."""
     levels = hierarchy.levels
     if policy == "last":
         return levels[-1]
     if policy == "second_to_last":
         return levels[-2] if len(levels) >= 2 else levels[-1]
-    try:
-        i = int(policy)
-    except (TypeError, ValueError):
-        raise ConfigError(f"unknown level policy {policy!r}") from None
-    if not 0 <= i < len(levels):
-        raise ConfigError(f"level index {i} out of range for {len(levels)} levels")
-    return levels[i]
+    raise ConfigError(f"unknown level policy {policy!r}")
 
 
 def merge_clusters(partition: Partition, vectors: np.ndarray, cluster_ids) -> Partition:

@@ -27,13 +27,12 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    level: str = "last"          # last | second_to_last | <index>
+    level: str = "last"          # last | second_to_last
 
 
 @dataclass(frozen=True)
 class MultiGanConfig:
-    lambda_mode: str = "dynamic"  # dynamic | fixed
-    lambda_fixed: float = 0.5
+    lambda_mode: str = "dynamic"  # dynamic | the fixed lambda, a decimal in [0, 1]
 
 
 @dataclass(frozen=True)
@@ -126,10 +125,9 @@ def load_config(path) -> PipelineConfig:
 def validate_config(cfg: PipelineConfig) -> None:
     if cfg.refine_mode not in ("none", "global", "local", "single"):
         raise ConfigError(f"refine_mode must be none|global|local|single, got {cfg.refine_mode!r}")
-    if cfg.multi.lambda_mode not in ("dynamic", "fixed"):
-        raise ConfigError(f"lambda_mode must be dynamic|fixed, got {cfg.multi.lambda_mode!r}")
-    if not 0.0 <= cfg.multi.lambda_fixed <= 1.0:
-        raise ConfigError(f"lambda_fixed must be in [0, 1], got {cfg.multi.lambda_fixed}")
+    mode = cfg.multi.lambda_mode  # no sign, exponent, nan or inf: digits with at most one point
+    if mode != "dynamic" and not (mode.replace(".", "", 1).isdecimal() and float(mode) <= 1.0):
+        raise ConfigError(f"lambda_mode must be dynamic or a decimal in [0, 1], got {mode!r}")
     if cfg.single_restarts < 1:
         raise ConfigError(f"single_restarts must be >= 1, got {cfg.single_restarts}")
     for name, value, low in (("data.max_vocab", cfg.data.max_vocab, 1),
@@ -137,9 +135,9 @@ def validate_config(cfg: PipelineConfig) -> None:
                              ("evaluation.vocab_limit", cfg.evaluation.vocab_limit, 1)):
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
-    level = cfg.cluster.level
-    if level not in ("last", "second_to_last") and not level.isdecimal():
-        raise ConfigError(f"clustering.level must be last|second_to_last|<index>, got {level!r}")
+    if cfg.cluster.level not in ("last", "second_to_last"):
+        raise ConfigError(f"clustering.level must be last|second_to_last, "
+                          f"got {cfg.cluster.level!r}")
     cfg.single_gan.validate()
     cfg.refine.validate()
 

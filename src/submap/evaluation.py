@@ -52,10 +52,18 @@ def _evaluable(gold: dict[str, set[str]], source: EmbeddingSpace,
     return np.array(queries, dtype=np.int64), answers, skipped
 
 
-def _hits(forward: MapFn, gold: dict[str, set[str]], source: EmbeddingSpace,
-          target: EmbeddingSpace, k: int, max_rank: int | None = None):
-    """The evaluable query rows, whether each one's CSLS translation is a
-    gold answer, and the count of gold entries skipped."""
+def evaluate_bli(forward: MapFn, gold: dict[str, set[str]], source: EmbeddingSpace,
+                 target: EmbeddingSpace, k: int = 10, max_rank: int | None = None,
+                 partition: Partition | None = None) -> BliReport:
+    """P@1 of CSLS retrieval against a gold multimap and, given a
+    partition, per source cluster.
+
+    Out-of-vocabulary entries, and with `max_rank` entries whose source
+    word ranks at or past it, are excluded and reported as coverage
+    rather than counted wrong.  The groups cover the same query set, so
+    the evaluable-count-weighted mean of their accuracies reproduces P@1
+    exactly; a cluster with nothing to evaluate gets a null accuracy.
+    """
     if not gold:
         raise EmptyEvaluationError("gold dictionary is empty")
     queries, answers, skipped = _evaluable(gold, source, target, max_rank)
@@ -64,43 +72,21 @@ def _hits(forward: MapFn, gold: dict[str, set[str]], source: EmbeddingSpace,
         raise EmptyEvaluationError(f"no gold entry is evaluable {where}")
     _, retrieved = _translate(forward, source, queries, target, k)
     hits = np.array([int(r) in gold_set for r, gold_set in zip(retrieved, answers)])
-    return queries, hits, skipped
-
-
-def evaluate_bli(forward: MapFn, gold: dict[str, set[str]], source: EmbeddingSpace,
-                 target: EmbeddingSpace, k: int = 10,
-                 max_rank: int | None = None) -> BliReport:
-    """P@1 of CSLS retrieval against a gold multimap.
-
-    Out-of-vocabulary entries, and with `max_rank` entries whose source
-    word ranks at or past it, are excluded and reported as coverage
-    rather than counted wrong.
-    """
-    queries, hits, skipped = _hits(forward, gold, source, target, k, max_rank)
-    return BliReport(p_at_1=float(hits.mean()), evaluated=len(queries), skipped_oov=skipped)
+    rows = None
+    if partition is not None:
+        groups = partition.assignments[queries]
+        members = [groups == cid for cid in range(partition.c)]
+        rows = tuple(SubspaceAccuracy(cid, int(m.sum()), float(hits[m].mean()) if m.any() else None)
+                     for cid, m in enumerate(members))
+    return BliReport(float(hits.mean()), len(queries), skipped, rows)
 
 
 def per_subspace_accuracy(forward: MapFn, partition: Partition,
                           gold: dict[str, set[str]], source: EmbeddingSpace,
                           target: EmbeddingSpace, vocab_limit: int = 50000,
                           k: int = 10) -> BliReport:
-    """P@1 grouped by source cluster over the most frequent words.
-
-    The report's overall number covers the same restricted query set, so
-    the evaluable-count-weighted mean of group accuracies reproduces it
-    exactly.  Clusters with nothing to evaluate get a null accuracy.
-    """
-    queries, hits, skipped = _hits(forward, gold, source, target, k,
-                                   max_rank=min(vocab_limit, source.n))
-    groups = partition.assignments[queries]
-    rows = []
-    for cid in range(partition.c):
-        in_group = groups == cid
-        count = int(in_group.sum())
-        acc = float(hits[in_group].mean()) if count else None
-        rows.append(SubspaceAccuracy(cid, count, acc))
-    return BliReport(p_at_1=float(hits.mean()), evaluated=len(queries),
-                     skipped_oov=skipped, per_subspace=tuple(rows))
+    """P@1 grouped by source cluster over the `vocab_limit` most frequent words."""
+    return evaluate_bli(forward, gold, source, target, k, vocab_limit, partition)
 
 
 def report_to_json(report: BliReport) -> str:

@@ -33,6 +33,7 @@ from .numerics import (MlpDiscriminator, bce_input_gradient, bce_loss_from_logit
 from .retrieval import selection_criterion
 
 _PATIENCE = 2  # epochs in a row with no new best criterion before a game stops; 0 runs all
+_LR_DECAY = 0.98  # per-epoch factor on both learning rates, MUSE's (Conneau et al., 2018)
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class GanConfig:
     batch_size: int = 32
     lr_generator: float = 0.1
     lr_discriminator: float = 0.1
-    lr_decay: float = 0.98
     beta: float = 0.001
     smoothing: float = 0.1
     dis_freq_vocab: int = 75000
@@ -64,8 +64,6 @@ class GanConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if not 0.0 < self.beta:
             raise ConfigError(f"beta must be positive, got {self.beta}")
         if not 0.0 <= self.smoothing < 0.5:
@@ -242,8 +240,8 @@ def _train(start: LinearMap, games: tuple[Game, ...], source: EmbeddingSpace,
         if crit < prev_crit:
             lr_g /= 2.0
             lr_d /= 2.0
-        lr_g *= cfg.lr_decay
-        lr_d *= cfg.lr_decay
+        lr_g *= _LR_DECAY
+        lr_d *= _LR_DECAY
         prev_crit = crit
     return Trained(best_map, best_crit, best_epoch, epoch)
 

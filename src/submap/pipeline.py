@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -39,8 +40,7 @@ from .config import PipelineConfig, config_digest, derive_seed
 from .embeddings import (EmbeddingSpace, iterative_normalize, load_embeddings,
                          save_embeddings, unit_rows)
 from .errors import ConfigError, ParseError, SubmapError
-from .evaluation import (evaluate_bli, format_report, per_subspace_accuracy,
-                         per_subspace_table, report_to_json)
+from .evaluation import evaluate_bli, format_report, per_subspace_table, report_to_json
 from .gan import Trained, random_restart_train
 from .mapping import (LinearMap, PiecewiseMap, load_linear_map, load_matrix,
                       save_linear_map, save_matrix)
@@ -157,6 +157,11 @@ class RunDir:
         if not (isinstance(stages, dict) and isinstance(timings, dict)
                 and all(isinstance(entry, dict) for entry in stages.values())):
             raise ParseError(f"{p}: stages, each stage's entry and timings must be objects")
+        for entry in stages.values():
+            names = entry.get("artifacts", [])
+            if not (isinstance(names, list) and all(isinstance(a, str) for a in names)):
+                raise ParseError(f"{p}: a stage's artifacts must be a list of file names, "
+                                 f"got {names!r}")
         return doc
 
     def write_manifest(self, doc: dict) -> None:
@@ -195,14 +200,28 @@ def _load_normalized(run: RunDir, cfg: PipelineConfig):
             run.load_space("target.norm.vec", cfg.data.max_vocab))
 
 
+@contextmanager
+def _naming(*paths: Path):
+    """Put `paths` in front of a ParseError raised in the block: the check
+    that failed holds the files' parsed contents against each other."""
+    try:
+        yield
+    except ParseError as e:
+        raise ParseError(f"{', '.join(map(str, paths))}: {e}") from None
+
+
 def _load_partition(run: RunDir, source: EmbeddingSpace) -> Partition:
-    return Partition(run.load_assignments("source_partition.tsv", source.words),
-                     run.load_matrix("source_centroids.txt"))
+    ids = run.load_assignments("source_partition.tsv", source.words)
+    centroids = run.load_matrix("source_centroids.txt")
+    with _naming(run.path("source_partition.tsv"), run.path("source_centroids.txt")):
+        return Partition(ids, centroids)
 
 
 def _load_pairing(run: RunDir, source: EmbeddingSpace, target: EmbeddingSpace) -> SubspacePairing:
-    return SubspacePairing(_load_partition(run, source),
-                           run.load_assignments("target_assignments.tsv", target.words))
+    partition = _load_partition(run, source)
+    ids = run.load_assignments("target_assignments.tsv", target.words)
+    with _naming(run.path("target_assignments.tsv"), run.path("source_partition.tsv")):
+        return SubspacePairing(partition, ids)
 
 
 def _save_mapset(run: RunDir, subdir: str, kind: str, maps: list[LinearMap],
@@ -228,7 +247,9 @@ def _load_mapset(run: RunDir, subdir: str, source: EmbeddingSpace,
         return maps[0]
     if not (isinstance(lambdas, list) and all(isinstance(x, (int, float)) for x in lambdas)):
         raise ParseError(f"{path}: lambdas must be a list of numbers, got {lambdas!r}")
-    return PiecewiseMap(_load_pairing(run, source, target), tuple(maps), tuple(lambdas))
+    pairing = _load_pairing(run, source, target)
+    with _naming(path, run.path("source_partition.tsv")):
+        return PiecewiseMap(pairing, tuple(maps), tuple(lambdas))
 
 
 def load_final_mapping(run: RunDir, source: EmbeddingSpace, target: EmbeddingSpace):
@@ -302,9 +323,9 @@ def stage_multi_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     single = run.load_map("single_map.txt")
     pairing = _load_pairing(run, source, target)
     gan_cfg = replace(cfg.single_gan, seed=seed)
-    lambda_fixed = cfg.multi.lambda_fixed if cfg.multi.lambda_mode == "fixed" else None
+    mode = cfg.multi.lambda_mode
     pm, subspaces = train_multi_gan(single, pairing, source, target, gan_cfg,
-                                    lambda_fixed=lambda_fixed)
+                                    lambda_fixed=None if mode == "dynamic" else float(mode))
     per_game = _game_metrics(subspaces, "criteria")
     _save_mapset(run, "multi", "piecewise", list(pm.maps),
                  {"lambdas": list(pm.lambdas), "criteria": per_game["criteria"]})
@@ -363,14 +384,13 @@ def stage_eval(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     fwd, _, _ = load_final_mapping(run, source, target)
     gold = gold_multimap(load_dictionary_tokens(cfg.data.gold))
     # the partition this config made, not one an earlier run left behind
-    if cfg.evaluation.per_subspace and STAGES["cluster"].included(cfg):
-        partition = _load_partition(run, source)
-        report = per_subspace_accuracy(fwd, partition, gold, source, target,
-                                       vocab_limit=cfg.evaluation.vocab_limit)
+    grouped = cfg.evaluation.per_subspace and STAGES["cluster"].included(cfg)
+    partition = _load_partition(run, source) if grouped else None
+    report = evaluate_bli(fwd, gold, source, target, max_rank=cfg.evaluation.vocab_limit,
+                          partition=partition)
+    if grouped:
         run.out("per_subspace.tsv").write_text(per_subspace_table(report), encoding="utf-8")
-    else:
-        report = evaluate_bli(fwd, gold, source, target, max_rank=cfg.evaluation.vocab_limit)
-        # a table from an earlier evaluation would not match this report
+    else:  # a table from an earlier evaluation would not match this report
         run.path("per_subspace.tsv").unlink(missing_ok=True)
     run.out("report.json").write_text(report_to_json(report), encoding="utf-8")
     run.out("report.txt").write_text(format_report(report), encoding="utf-8")
@@ -424,6 +444,7 @@ def run_stage(run: RunDir, cfg: PipelineConfig, name: str) -> dict:
     anything is written."""
     if name not in STAGES or not STAGES[name].included(cfg):
         raise ConfigError(f"stage {name!r} is not part of this configuration")
+    # "0" is the attempt label of the deleted automatic rerun, kept so that no stage seed moves
     seed = derive_seed(cfg.seed, name, "0")
     started = time.monotonic()
     run.written.clear()

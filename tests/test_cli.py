@@ -110,10 +110,14 @@ def set_value(cfg_path, section, key, value):
     return cfg_path
 
 
+def subparsers() -> argparse._SubParsersAction:
+    """The `submap` parser's subcommands."""
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def subcommand_help() -> dict[str, str]:
     """Each subcommand of `submap`, in the parser's order, with its help text."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a.help for a in sub._choices_actions}
+    return {a.dest: a.help for a in subparsers()._choices_actions}
 
 
 def manifest_without_timings(path):
@@ -151,6 +155,30 @@ class TestConfig:
         assert trained_on == [replace(cfg.single_gan,
                                       seed=derive_seed(cfg.seed, "multi_gan", "0"))]
 
+    def test_lambda_mode_reaches_train_multi_gan(self, tmp_path, synth_dir, monkeypatch):
+        cfg_path = write_config(tmp_path, synth_dir)
+        run = RunDir(tmp_path / "spy")
+        for name in ("normalize", "single_gan", "cluster"):
+            run_stage(run, load_config(cfg_path), name)
+        passed = []
+
+        class Seen(Exception):
+            pass
+
+        def spy(single, pairing, source, target, gan_cfg, lambda_fixed=None):
+            passed.append(lambda_fixed)
+            raise Seen
+
+        monkeypatch.setattr(pipeline, "train_multi_gan", spy)
+        # lambda_mode names the fixed lambda itself; dynamic passes none
+        modes = {"dynamic": None, "0": 0.0, "1": 1.0, "0.3": 0.3}
+        for mode in modes:
+            with pytest.raises(Seen):
+                run_stage(run, load_config(set_value(cfg_path, "multi", "lambda_mode", mode)),
+                          "multi_gan")
+        assert passed == list(modes.values())
+        assert all(type(x) is float for x in passed[1:])
+
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[run]\nbogus = 1\n", encoding="utf-8")
@@ -171,11 +199,13 @@ class TestConfig:
         cfg_path = write_config(tmp_path, synth_dir)
         for section, key, value in (("data", "max_vocab", "1"),
                                     ("data", "normalize_iterations", "1"),
-                                    ("clustering", "level", "0"),
+                                    ("clustering", "level", "second_to_last"),
+                                    ("multi", "lambda_mode", "0"),
                                     ("evaluation", "vocab_limit", "1")):
             set_value(cfg_path, section, key, value)
         cfg = load_config(cfg_path)
-        assert cfg.cluster.level == "0" and cfg.data.max_vocab == 1
+        assert cfg.cluster.level == "second_to_last" and cfg.data.max_vocab == 1
+        assert cfg.multi.lambda_mode == "0"
 
     # Every key a config file may set, per section.  Adding or deleting a
     # knob edits this table.
@@ -184,17 +214,17 @@ class TestConfig:
         "data": ("source", "target", "gold", "max_vocab", "normalize_iterations",
                  "normalize"),
         "single_gan": ("epochs", "steps_per_epoch", "batch_size", "lr_generator",
-                       "lr_discriminator", "lr_decay", "beta", "smoothing",
+                       "lr_discriminator", "beta", "smoothing",
                        "dis_freq_vocab", "dis_steps_per_gen_step", "dis_hidden",
                        "dis_dropout", "dis_leaky_slope", "criterion_vocab", "csls_k"),
         "clustering": ("level",),
-        "multi": ("lambda_mode", "lambda_fixed"),
+        "multi": ("lambda_mode",),
         "refinement": ("max_iters", "vocab_limit"),
         "evaluation": ("per_subspace", "vocab_limit"),
     }
 
     def test_ini_surface(self, tmp_path):
-        assert sum(len(keys) for keys in self.INI_SURFACE.values()) == 31
+        assert sum(len(keys) for keys in self.INI_SURFACE.values()) == 29
         default = PipelineConfig()
         settings = {"run": default, "data": default.data, "single_gan": default.single_gan,
                     "clustering": default.cluster, "multi": default.multi,
@@ -628,13 +658,18 @@ class TestPipeline:
         ("manifest.json", ["pipeline", "--resume"], {"stages": []}),
         ("manifest.json", ["pipeline", "--resume"], {"stages": {"normalize": "ok"}}),
         ("manifest.json", ["pipeline"], {"timings": []}),
+        ("manifest.json", ["pipeline", "--resume"],
+         {"stages": {"normalize": {"status": "ok", "artifacts": 5}}}),
+        ("manifest.json", ["pipeline", "--resume"],
+         {"stages": {"normalize": {"status": "ok", "artifacts": ["source.norm.vec", 7]}}}),
     ], ids=["manifest.json-command0", "final/meta.json-command1", "manifest.json-list",
             "manifest.json-list-resume", "final/meta.json-no-count",
             "final/meta.json-no-lambdas", "final/meta.json-lambdas-string",
             "final/meta.json-count-negative", "final/meta.json-count-zero",
             "final/meta.json-count-string", "final/meta.json-count-float",
             "manifest.json-stages-list", "manifest.json-stages-list-resume",
-            "manifest.json-stage-string-resume", "manifest.json-timings-list"])
+            "manifest.json-stage-string-resume", "manifest.json-timings-list",
+            "manifest.json-artifacts-number-resume", "manifest.json-artifact-number-resume"])
     def test_truncated_json_is_a_parse_error(self, tmp_path, synth_dir, capsys, name,
                                              command, damage):
         cfg_path = write_config(tmp_path, synth_dir)
@@ -657,6 +692,48 @@ class TestPipeline:
             path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(command[:1] + common + command[1:]) == 1
         assert f"error: ParseError: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names, damage, message", [
+        (["final/meta.json", "source_partition.tsv"], "one lambda too few",
+         "one lambda per subspace map required"),
+        (["final/meta.json", "source_partition.tsv"], "count 1", "1 maps for 2 subspace ids"),
+        (["source_partition.tsv", "source_centroids.txt"], "id gap",
+         "cluster ids must be exactly 0..c-1"),
+        (["target_assignments.tsv", "source_partition.tsv"], "target id 5",
+         "target assignment outside the source partition's id range"),
+        (["source_partition.tsv", "source_centroids.txt"], "one centroid",
+         "1 centroids for 2 clusters"),
+    ], ids=["lambdas", "count", "id-gap", "target-id", "centroids"])
+    def test_run_files_that_disagree_name_the_files(self, tmp_path, synth_dir, capsys, names,
+                                                    damage, message):
+        cfg_path = write_config(tmp_path, synth_dir)
+        out = tmp_path / "run"
+        common = ["--config", str(cfg_path), "--out", str(out)]
+        assert main(["pipeline", *common]) == 0
+        assert json.loads((out / "final/meta.json").read_text(encoding="utf-8"))["count"] == 2
+
+        def edit(name, change):
+            path = out / name
+            path.write_text(change(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+        def meta(key, value):
+            return lambda text: json.dumps({**json.loads(text), key: value})
+
+        if damage == "one lambda too few":
+            edit("final/meta.json", meta("lambdas", [0.5]))
+        elif damage == "count 1":
+            edit("final/meta.json", meta("count", 1))
+        elif damage == "id gap":
+            edit("source_partition.tsv", lambda text: text.replace("\t1\n", "\t2\n"))
+        elif damage == "target id 5":
+            edit("target_assignments.tsv", lambda text: re.sub(r"\t\d+\n", "\t5\n", text, 1))
+        else:  # keep the header's column count and the first row
+            edit("source_centroids.txt",
+                 lambda text: "1 " + text.split("\n")[0].split()[1] + "\n"
+                              + text.split("\n")[1] + "\n")
+        assert main(["eval-bli", *common]) == 1
+        files = ", ".join(str(out / name) for name in names)
+        assert capsys.readouterr().err == f"error: ParseError: {files}: {message}\n"
 
 
 class TestRetry:
@@ -906,6 +983,15 @@ class TestCliCommands:
         ("refinement", "multiplier", "nan"),
         ("refinement", "threshold", "1e-6"),
         ("refinement", "threshold", "nan"),
+        # MUSE's per-epoch decay is `gan._LR_DECAY`, not a key
+        ("single_gan", "lr_decay", "0.98"),
+        # one key sets lambda: dynamic, or the fixed value itself
+        ("multi", "lambda_fixed", "0.5"),
+        ("multi", "lambda_mode", "fixed"),
+        ("multi", "lambda_mode", "1.5"),
+        ("multi", "lambda_mode", "nan"),
+        # a level index is valid or not depending on the data, so there is none
+        ("clustering", "level", "0"),
     ])
     def test_bad_value_exits_at_config_load(self, tmp_path, synth_dir, capsys, section, key,
                                             value):
@@ -1080,25 +1166,31 @@ class TestCliCommands:
         cfg_path = write_config(tmp_path, synth_dir)
         out = tmp_path / "override"
         rc = main(["pipeline", "--config", str(cfg_path), "--out", str(out),
-                   "--seed", "99", "--refine", "single", "--stage", "single_gan",
-                   "--restarts", "2", "--level", "second_to_last"])
+                   "--seed", "99", "--refine", "single", "--stage", "single_gan"])
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["master_seed"] == 99
         assert set(manifest["stages"]) == {"normalize", "single_gan"}
-        assert manifest["stages"]["single_gan"]["metrics"]["restarts"] == 2
-        cfg = load_config(cfg_path)
-        overridden = replace(cfg, seed=99, refine_mode="single", single_restarts=2,
-                             cluster=replace(cfg.cluster, level="second_to_last"))
+        overridden = replace(load_config(cfg_path), seed=99, refine_mode="single")
         assert manifest["config_hash"] == config_digest(overridden)
+
+    @pytest.mark.parametrize("flag, value", [("--restarts", "2"), ("--level", "last")])
+    def test_config_copies_are_no_flags(self, tmp_path, synth_dir, capsys, flag, value):
+        # `[run] single_restarts` and `[clustering] level` are set in the config only
+        cfg_path = write_config(tmp_path, synth_dir)
+        out = tmp_path / "flag"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pipeline", "--config", str(cfg_path), "--out", str(out), flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReadmeRecipes:
     """README's code blocks are the experiment recipes, so they must run."""
 
-    BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```",
-                        (Path(__file__).resolve().parent.parent / "README.md")
-                        .read_text(encoding="utf-8"), re.M | re.S)
+    TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", TEXT, re.M | re.S)
 
     def test_every_ini_block_loads(self, tmp_path):
         blocks = [body for lang, body in self.BLOCKS if lang == "ini"]
@@ -1116,6 +1208,27 @@ class TestReadmeRecipes:
         assert cfg.data.source and cfg.data.target and cfg.data.gold
         data = replace(cfg.data, source="", target="", gold="")
         assert replace(cfg, data=data) == PipelineConfig()
+
+    def test_minimal_config_lists_every_key(self):
+        # with the test above: every key a config may set, at its default
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(next(body for lang, body in self.BLOCKS if lang == "ini"))
+        assert ({section: set(parser[section]) for section in parser.sections()}
+                == {section: set(keys) for section, keys in TestConfig.INI_SURFACE.items()})
+
+    def test_shared_flags_sentence_lists_the_parsers_flags(self):
+        def flags(command):
+            return [s for a in subparsers().choices[command]._actions for s in a.option_strings
+                    if s != "--help" and s.startswith("--")]
+
+        sentence = re.search(r"^Shared flags: (.*?)Exit codes", self.TEXT, re.M | re.S).group(1)
+        shared, added = sentence.split("`pipeline` adds")
+        common = flags("normalize")
+        assert re.findall(r"`(--[\w-]+)", shared) == common
+        assert re.findall(r"`(--[\w-]+)", added) == [f for f in flags("pipeline")
+                                                     if f not in common]
+        for stage in pipeline.STAGES.values():
+            assert flags(stage.command) == common, stage.command
 
     def test_every_command_line_parses(self):
         commands = [shlex.split(line, comments=True)

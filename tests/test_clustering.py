@@ -235,7 +235,6 @@ class TestSelectLevel:
         assert select_level(h, "last") is h.levels[-1]
         if len(h.levels) >= 2:
             assert select_level(h, "second_to_last") is h.levels[-2]
-        assert select_level(h, "0") is h.levels[0]
 
     def test_second_to_last_falls_back(self):
         x = unit_rows(np.array([[1.0, 0.1], [0.9, 0.2]]))
