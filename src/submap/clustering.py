@@ -192,14 +192,16 @@ def merge_small_clusters(partition: Partition, vectors: np.ndarray,
     return partition
 
 
-def save_assignments(path, words, assignments: np.ndarray) -> None:
-    """Write one 'token<TAB>cluster_id' line per word, read by load_assignments."""
+def save_assignments(path, words, assignments: np.ndarray) -> np.ndarray:
+    """Write one 'token<TAB>cluster_id' line per word, read by load_assignments,
+    and return the ids the file parses to for `words`: integers read back exactly."""
     for w in words:
         if "\t" in w or "\n" in w or "\r" in w:
             raise ParseError(f"token {w!r} contains a tab or line break and cannot be serialized")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for word, cid in zip(words, assignments):
             f.write(f"{word}\t{cid}\n")
+    return np.array(assignments, dtype=np.int64)
 
 
 def load_assignments(path, words) -> np.ndarray:

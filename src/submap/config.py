@@ -10,6 +10,8 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from .errors import ConfigError, utf8_input
 from .gan import GanConfig
 from .refinement import RefineConfig
@@ -119,6 +121,10 @@ def load_config(path) -> PipelineConfig:
         types = {f.name: type(getattr(base, f.name)) for f in fields(base) if f.name != "seed"}
         cfg = replace(cfg, **{name: replace(base, **_parse_section(sections, section, types))})
     validate_config(cfg)
+    mode = cfg.multi.lambda_mode
+    if mode != "dynamic":  # one text per fixed lambda, so its spellings hash alike
+        canonical = np.format_float_positional(float(mode), trim="-")  # 0.30 -> 0.3, 1.0 -> 1
+        cfg = replace(cfg, multi=replace(cfg.multi, lambda_mode=canonical))
     return cfg
 
 

@@ -103,17 +103,19 @@ class PiecewiseMap:
         return PiecewiseMap(self.pairing, composed, self.lambdas)
 
 
-def save_matrix(path, m: np.ndarray, header: str | None = None) -> None:
+def save_matrix(path, m: np.ndarray, header: str | None = None) -> np.ndarray:
     """Write a header line ("<rows> <cols>" unless given), then one line of
-    full-precision floats per row.
+    full-precision floats per row, and return the matrix the file parses to.
 
     Each field is written as '%.17g' % x would write it, which reads back
-    exactly (`embeddings.write_rows`).
+    every finite float64 bit for bit (`embeddings.write_rows`), so the
+    returned copy of `m` equals `load_matrix(path)`.
     """
     m = np.asarray(m, dtype=np.float64)
     with open(path, "wb") as f:
         f.write(((header or f"{m.shape[0]} {m.shape[1]}") + "\n").encode("utf-8"))
         write_rows(f, m, 17)
+    return m.copy()  # after the write, so the write's buffers and the copy never coexist
 
 
 def load_matrix(path) -> np.ndarray:
@@ -145,9 +147,10 @@ def load_matrix(path) -> np.ndarray:
         raise ParseError(f"{path}: unparseable float") from None
 
 
-def save_linear_map(path, m: LinearMap) -> None:
-    """Text format: first line d, then d rows of d floats (full precision)."""
-    save_matrix(path, m.w, str(m.dim))
+def save_linear_map(path, m: LinearMap) -> LinearMap:
+    """Text format: first line d, then d rows of d floats (full precision).
+    Returns the map the file parses to, `load_linear_map(path)`."""
+    return LinearMap(save_matrix(path, m.w, str(m.dim)))
 
 
 def load_linear_map(path) -> LinearMap:

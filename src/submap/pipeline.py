@@ -1,24 +1,25 @@
 """Batch orchestration: ordered stages, persisted artifacts, and a run
 manifest.
 
-Every stage reads its inputs from the run directory and writes its
-outputs back there, so `pipeline` and the per-stage subcommands produce
-identical artifacts.  A stage function returns its metrics; the
-manifest lists as its artifacts the files it wrote through `RunDir.out`
-(which the `RunDir.save_*` methods call), in the order written.  Stage
-seeds derive from the master seed and the stage name; timings live in
-their own manifest key and are the only nondeterministic field.
+Every stage reads its inputs from the run directory through `RunDir.load`
+and writes its outputs back there through `RunDir.out`, so `pipeline` and
+the per-stage subcommands produce identical artifacts.  A stage function
+returns its metrics; the manifest lists as its artifacts the files it
+wrote, in the order written.  Stage seeds derive from the master seed
+and the stage name; timings live in their own manifest key and are the
+only nondeterministic field.
 
-Each normalized space, map, cluster-id file and centroid matrix is
-parsed at most once per process: the RunDir keeps what it parsed,
-stamped with the file's modification time and size, and parses a file
-again only when its stamp changed.  A file the process wrote itself is
-kept as what it parses to, stamped after the write, and never parsed:
-`save_embeddings` returns the space its '%.9g' text reads back as,
-'%.17g' text reads back every finite float bit for bit (one writer,
-`embeddings.write_rows`, writes both), and cluster ids are integers.
-So a stage sees the same inputs whether it runs inside
-`pipeline` or as its own subcommand, which parses from disk.
+Each file a stage reads is parsed at most once per process: `load` keeps
+what it parsed, stamped with the file's modification time and size, and
+parses a file again only when its stamp changed.  A file the process
+wrote itself is kept (`RunDir.keep`) as what it parses to, stamped after
+the write, and never parsed.  Each writer returns that object:
+`save_embeddings` the space its '%.9g' text reads back as, `save_matrix`
+and `save_linear_map` a copy of what they wrote, which '%.17g' text reads
+back bit for bit (one writer, `embeddings.write_rows`, writes both), and
+`save_assignments` its integer ids.  So a stage sees the same inputs
+whether it runs inside `pipeline` or as its own subcommand, which parses
+from disk.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .alignment import SubspacePairing, partition_target_with_merge
 from .clustering import (Partition, finch_hierarchy, load_assignments,
@@ -66,12 +65,12 @@ def _read_json(path: Path, keys: tuple[str, ...] = ()) -> dict:
 
 class RunDir:
     """One run directory: artifact paths, the manifest, `written` (the names the current stage
-    wrote), and the spaces, maps, cluster ids and centroids kept parsed."""
+    wrote), and the objects `load` parsed or `keep` was given, by file name and parse arguments."""
 
     def __init__(self, out: str | Path):
         self.root = Path(out)
         self.written: list[str] = []
-        # key -> ((st_mtime_ns, st_size) of the file it was read from, object)
+        # (name, *parse args) -> ((st_mtime_ns, st_size) of the file it was read from, object)
         self._kept: dict[tuple, tuple[tuple[int, int], object]] = {}
 
     def path(self, name: str) -> Path:
@@ -85,67 +84,21 @@ class RunDir:
         self.written.append(name)
         return path
 
-    def _stamp(self, name: str) -> tuple[int, int]:
-        st = self.path(name).stat()
-        return st.st_mtime_ns, st.st_size
-
-    def _parsed(self, name: str, key: tuple, parse):
-        """parse(path of `name`), parsed again only when the file's
-        modification time or size changed since it was kept under `key`."""
-        stamp = self._stamp(name)  # before parsing, so a concurrent rewrite reads as a change
+    def load(self, name: str, parse: Callable, *args):
+        """parse(path of `name`, *args), kept under (name, *args) and parsed
+        again only when the file's modification time or size changed."""
+        st = self.path(name).stat()  # before parsing, so a concurrent rewrite reads as a change
+        stamp, key = (st.st_mtime_ns, st.st_size), (name, *args)
         kept = self._kept.get(key)
         if kept is None or kept[0] != stamp:
-            kept = self._kept[key] = (stamp, parse(self.path(name)))
+            kept = self._kept[key] = (stamp, parse(self.path(name), *args))
         return kept[1]
 
-    def _keep(self, name: str, key: tuple, parsed) -> None:
-        """Keep `parsed`, what the file `name` just written parses to, under `key`."""
-        self._kept[key] = (self._stamp(name), parsed)
-
-    def load_space(self, name: str, max_vocab: int) -> EmbeddingSpace:
-        """The embedding file `name` as load_embeddings parses it.  A space
-        save_space wrote is every word of its file, so it is what any
-        `max_vocab` not below its size parses."""
-        written = self._kept.get((name,))
-        if written is not None and written[1].n <= max_vocab and written[0] == self._stamp(name):
-            return written[1]
-        return self._parsed(name, (name, max_vocab),
-                            lambda path: load_embeddings(path, max_vocab))
-
-    def save_space(self, name: str, space: EmbeddingSpace) -> None:
-        """Write `space` to `name` and keep the space the file parses to,
-        which save_embeddings returns."""
-        self._keep(name, (name,), save_embeddings(self.out(name), space))
-
-    def load_map(self, name: str) -> LinearMap:
-        """The map file `name` as load_linear_map parses it."""
-        return self._parsed(name, (name,), load_linear_map)
-
-    def save_map(self, name: str, m: LinearMap) -> None:
-        """Write `m` to `name` and keep it as what the file parses to:
-        `write_rows`' '%.17g' text reads back every float64 bit for bit."""
-        save_linear_map(self.out(name), m)
-        self._keep(name, (name,), LinearMap(m.w.copy()))
-
-    def load_assignments(self, name: str, words: tuple[str, ...]) -> np.ndarray:
-        """The cluster-id file `name` as load_assignments parses it for `words`."""
-        return self._parsed(name, (name, words), lambda path: load_assignments(path, words))
-
-    def save_assignments(self, name: str, words: tuple[str, ...], assignments) -> None:
-        """Write one cluster id per word to `name` and keep the ids: the
-        integers read back exactly."""
-        save_assignments(self.out(name), words, assignments)
-        self._keep(name, (name, words), np.array(assignments, dtype=np.int64))
-
-    def load_matrix(self, name: str) -> np.ndarray:
-        """The matrix file `name` as load_matrix parses it."""
-        return self._parsed(name, (name,), load_matrix)
-
-    def save_matrix(self, name: str, m: np.ndarray) -> None:
-        """Write `m` to `name` and keep it: `write_rows`' '%.17g' text
-        reads back every finite float64 bit for bit."""
-        save_matrix(self.out(name), m)
-        self._keep(name, (name,), np.array(m, dtype=np.float64))
+    def keep(self, name: str, parsed, *args) -> None:
+        """Keep `parsed`, what the file `name` the process just wrote parses
+        to, as `load(name, parse, *args)` would return it."""
+        st = self.path(name).stat()
+        self._kept[(name, *args)] = ((st.st_mtime_ns, st.st_size), parsed)
 
     def manifest_path(self) -> Path:
         return self.root / "manifest.json"
@@ -196,8 +149,8 @@ class RunDir:
 
 
 def _load_normalized(run: RunDir, cfg: PipelineConfig):
-    return (run.load_space("source.norm.vec", cfg.data.max_vocab),
-            run.load_space("target.norm.vec", cfg.data.max_vocab))
+    return (run.load("source.norm.vec", load_embeddings, cfg.data.max_vocab),
+            run.load("target.norm.vec", load_embeddings, cfg.data.max_vocab))
 
 
 @contextmanager
@@ -211,15 +164,15 @@ def _naming(*paths: Path):
 
 
 def _load_partition(run: RunDir, source: EmbeddingSpace) -> Partition:
-    ids = run.load_assignments("source_partition.tsv", source.words)
-    centroids = run.load_matrix("source_centroids.txt")
+    ids = run.load("source_partition.tsv", load_assignments, source.words)
+    centroids = run.load("source_centroids.txt", load_matrix)
     with _naming(run.path("source_partition.tsv"), run.path("source_centroids.txt")):
         return Partition(ids, centroids)
 
 
 def _load_pairing(run: RunDir, source: EmbeddingSpace, target: EmbeddingSpace) -> SubspacePairing:
     partition = _load_partition(run, source)
-    ids = run.load_assignments("target_assignments.tsv", target.words)
+    ids = run.load("target_assignments.tsv", load_assignments, target.words)
     with _naming(run.path("target_assignments.tsv"), run.path("source_partition.tsv")):
         return SubspacePairing(partition, ids)
 
@@ -227,29 +180,41 @@ def _load_pairing(run: RunDir, source: EmbeddingSpace, target: EmbeddingSpace) -
 def _save_mapset(run: RunDir, subdir: str, kind: str, maps: list[LinearMap],
                  meta: dict) -> None:
     for i, m in enumerate(maps):
-        run.save_map(f"{subdir}/map_{i:03d}.txt", m)
+        name = f"{subdir}/map_{i:03d}.txt"
+        run.keep(name, save_linear_map(run.out(name), m))
     doc = {"kind": kind, "count": len(maps), **meta}
     run.out(f"{subdir}/meta.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                                               encoding="utf-8")
+
+
+def _read_mapset_meta(path: Path) -> dict:
+    """The meta.json `_save_mapset` wrote: kind "single" with count 1, or
+    kind "piecewise" with a positive count and a list of lambdas."""
+    meta = _read_json(path, ("kind", "count"))
+    kind, count, lambdas = meta["kind"], meta["count"], meta.get("lambdas")
+    if kind not in ("single", "piecewise"):
+        raise ParseError(f"{path}: kind must be single or piecewise, got {kind!r}")
+    if type(count) is not int or count < 1:
+        raise ParseError(f"{path}: count must be a positive integer, got {count!r}")
+    if kind == "single" and count != 1:
+        raise ParseError(f"{path}: a single map set has count 1, got {count}")
+    if kind == "piecewise" and not (isinstance(lambdas, list)
+                                    and all(isinstance(x, (int, float)) for x in lambdas)):
+        raise ParseError(f"{path}: lambdas must be a list of numbers, got {lambdas!r}")
+    return meta
 
 
 def _load_mapset(run: RunDir, subdir: str, source: EmbeddingSpace,
                  target: EmbeddingSpace) -> LinearMap | PiecewiseMap:
     """The map `_save_mapset` wrote: a LinearMap for kind "single", else a
     PiecewiseMap over the run's subspace pairing."""
-    path = run.path(f"{subdir}/meta.json")
-    meta = _read_json(path, ("kind", "count"))
-    count, lambdas = meta["count"], meta.get("lambdas")
-    if type(count) is not int or count < 1:
-        raise ParseError(f"{path}: count must be a positive integer, got {count!r}")
-    maps = [run.load_map(f"{subdir}/map_{i:03d}.txt") for i in range(count)]
+    meta = run.load(f"{subdir}/meta.json", _read_mapset_meta)
+    maps = [run.load(f"{subdir}/map_{i:03d}.txt", load_linear_map) for i in range(meta["count"])]
     if meta["kind"] == "single":
         return maps[0]
-    if not (isinstance(lambdas, list) and all(isinstance(x, (int, float)) for x in lambdas)):
-        raise ParseError(f"{path}: lambdas must be a list of numbers, got {lambdas!r}")
     pairing = _load_pairing(run, source, target)
-    with _naming(path, run.path("source_partition.tsv")):
-        return PiecewiseMap(pairing, tuple(maps), tuple(lambdas))
+    with _naming(run.path(f"{subdir}/meta.json"), run.path("source_partition.tsv")):
+        return PiecewiseMap(pairing, tuple(maps), tuple(meta["lambdas"]))
 
 
 def load_final_mapping(run: RunDir, source: EmbeddingSpace, target: EmbeddingSpace):
@@ -271,8 +236,9 @@ def stage_normalize(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     else:
         source = EmbeddingSpace(source.words, unit_rows(source.vectors, source.words))
         target = EmbeddingSpace(target.words, unit_rows(target.vectors, target.words))
-    run.save_space("source.norm.vec", source)
-    run.save_space("target.norm.vec", target)
+    for name, space in (("source.norm.vec", source), ("target.norm.vec", target)):
+        # kept under the max_vocab every later stage loads it with
+        run.keep(name, save_embeddings(run.out(name), space), cfg.data.max_vocab)
     return {"source_n": source.n, "target_n": target.n, "dim": source.dim}
 
 
@@ -290,7 +256,7 @@ def stage_single_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     gan_cfg = replace(cfg.single_gan, seed=seed)
     best, restarts = random_restart_train(source, target, gan_cfg,
                                           restarts=cfg.single_restarts)
-    run.save_map("single_map.txt", best.map)
+    run.keep("single_map.txt", save_linear_map(run.out("single_map.txt"), best.map))
     return {"criterion": best.criterion,
             "orthogonality_defect": best.map.orthogonality_defect(),
             "restarts": cfg.single_restarts,
@@ -304,12 +270,17 @@ def stage_cluster(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     partition = select_level(hierarchy, cfg.cluster.level)
     partition = merge_small_clusters(partition, source.vectors, max(2 * source.dim, 32))
     # pair each cluster with the target words the single map sends back into it
-    pairing, merged = partition_target_with_merge(run.load_map("single_map.txt"), partition,
-                                                  source, target)
+    pairing, merged = partition_target_with_merge(run.load("single_map.txt", load_linear_map),
+                                                  partition, source, target)
     paired = pairing.source_partition
-    run.save_assignments("source_partition.tsv", source.words, paired.assignments)
-    run.save_matrix("source_centroids.txt", paired.centroids)
-    run.save_assignments("target_assignments.tsv", target.words, pairing.target_assignments)
+    run.keep("source_partition.tsv", save_assignments(run.out("source_partition.tsv"),
+                                                      source.words, paired.assignments),
+             source.words)
+    run.keep("source_centroids.txt", save_matrix(run.out("source_centroids.txt"),
+                                                 paired.centroids))
+    run.keep("target_assignments.tsv", save_assignments(run.out("target_assignments.tsv"),
+                                                        target.words, pairing.target_assignments),
+             target.words)
     return {"level_sizes": [p.c for p in hierarchy.levels],
             "selected_level": cfg.cluster.level,
             "clusters": partition.c,
@@ -320,7 +291,7 @@ def stage_cluster(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
 
 def stage_multi_gan(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     source, target = _load_normalized(run, cfg)
-    single = run.load_map("single_map.txt")
+    single = run.load("single_map.txt", load_linear_map)
     pairing = _load_pairing(run, source, target)
     gan_cfg = replace(cfg.single_gan, seed=seed)
     mode = cfg.multi.lambda_mode
@@ -345,7 +316,7 @@ def stage_refine(run: RunDir, cfg: PipelineConfig, seed: int) -> dict:
     metrics: dict = {"mode": cfg.refine_mode}
     logs: dict = {}  # log file name -> refinement steps
     if cfg.refine_mode == "single":
-        single = run.load_map("single_map.txt")
+        single = run.load("single_map.txt", load_linear_map)
         refined, objective, log = refine_linear(single, source, target, refine_cfg)
         logs["refine_log.tsv"] = log
         metrics["objective"] = objective

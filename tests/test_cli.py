@@ -18,7 +18,7 @@ from submap import gan, pipeline
 from submap.pipeline import RunDir, run_pipeline, run_stage, stages_for
 from submap.embeddings import EmbeddingSpace, load_embeddings, save_embeddings, unit_rows
 from submap.clustering import load_assignments, save_assignments
-from submap.mapping import LinearMap, load_linear_map, load_matrix, save_linear_map
+from submap.mapping import LinearMap, load_linear_map, load_matrix, save_linear_map, save_matrix
 from submap.retrieval import load_dictionary_tokens
 
 TINY_CONFIG = """
@@ -171,13 +171,29 @@ class TestConfig:
 
         monkeypatch.setattr(pipeline, "train_multi_gan", spy)
         # lambda_mode names the fixed lambda itself; dynamic passes none
-        modes = {"dynamic": None, "0": 0.0, "1": 1.0, "0.3": 0.3}
+        modes = {"dynamic": None, "0": 0.0, "1": 1.0, "0.3": 0.3, "1.0": 1.0, "0.30": 0.3,
+                 ".5": 0.5}
         for mode in modes:
             with pytest.raises(Seen):
                 run_stage(run, load_config(set_value(cfg_path, "multi", "lambda_mode", mode)),
                           "multi_gan")
         assert passed == list(modes.values())
         assert all(type(x) is float for x in passed[1:])
+
+    def test_fixed_lambda_spellings_hash_alike(self, tmp_path):
+        def digest(mode):
+            path = tmp_path / "lambda.ini"
+            path.write_text(f"[multi]\nlambda_mode = {mode}\n", encoding="utf-8")
+            return config_digest(load_config(path))
+
+        # one hash per value, the one its shortest spelling had before spellings were merged
+        groups = {"bc4a23560151f56a": ("dynamic",),
+                  "46832a161d2bae4c": ("0.3", "0.30", "0.300000000000000001"),
+                  "1a6015a536ef7ab7": ("1", "1.0", "1."),
+                  "c0b5f641b206d445": ("0", "0.0", "00", ".0")}
+        for expected, spellings in groups.items():
+            assert [digest(mode) for mode in spellings] == [expected] * len(spellings)
+        assert len({digest(mode) for mode in ("0.5", ".5", "00.5", "0.50")}) == 1
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -378,7 +394,7 @@ class TestPipeline:
         # the inputs once each; the normalized spaces are kept as written
         assert sorted(parsed) == ["source.vec", "target.vec"]
         for name in ("source.norm.vec", "target.norm.vec"):
-            kept = run.load_space(name, cfg.data.max_vocab)
+            kept = run.load(name, pipeline.load_embeddings, cfg.data.max_vocab)
             back = load_embeddings(run.path(name), cfg.data.max_vocab)
             assert kept.words == back.words
             assert kept.vectors.tobytes() == back.vectors.tobytes()
@@ -415,23 +431,27 @@ class TestPipeline:
         names = sorted(str(p.relative_to(run.root)) for p in run.root.rglob("*map*.txt"))
         assert "single_map.txt" in names and "final/map_000.txt" in names
         for name in names:  # each kept map is what its file parses to
-            assert run.load_map(name).w.tobytes() == load_linear_map(run.path(name)).w.tobytes()
+            kept = run.load(name, pipeline.load_linear_map)
+            assert kept.w.tobytes() == load_linear_map(run.path(name)).w.tobytes()
         assert map_loads == []
 
     def test_rewritten_map_is_parsed_again(self, tmp_path, map_loads):
         run = RunDir(tmp_path / "maps")
-        run.save_map("m.txt", LinearMap(np.eye(3)))
-        assert np.array_equal(run.load_map("m.txt").w, np.eye(3)) and map_loads == []
+        run.keep("m.txt", save_linear_map(run.out("m.txt"), LinearMap(np.eye(3))))
+        assert np.array_equal(run.load("m.txt", pipeline.load_linear_map).w, np.eye(3))
+        assert map_loads == []
         # the same size on disk, so only the new modification time tells
         swapped = np.eye(3)[[1, 0, 2]]
         save_linear_map(run.path("m.txt"), LinearMap(swapped))
         st = run.path("m.txt").stat()
         os.utime(run.path("m.txt"), ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
-        assert np.array_equal(run.load_map("m.txt").w, swapped) and map_loads == ["m.txt"]
-        run.load_map("m.txt")
+        assert np.array_equal(run.load("m.txt", pipeline.load_linear_map).w, swapped)
+        assert map_loads == ["m.txt"]
+        run.load("m.txt", pipeline.load_linear_map)
         assert map_loads == ["m.txt"]
         # a new RunDir, as each per-stage subcommand makes, parses from disk
-        assert np.array_equal(RunDir(run.root).load_map("m.txt").w, swapped)
+        assert np.array_equal(RunDir(run.root).load("m.txt", pipeline.load_linear_map).w,
+                              swapped)
         assert map_loads == ["m.txt", "m.txt"]
 
     def test_written_space_is_parsed_again_when_rewritten(self, tmp_path, monkeypatch):
@@ -444,22 +464,24 @@ class TestPipeline:
         monkeypatch.setattr(pipeline, "load_embeddings", counting_load)
         run = RunDir(tmp_path / "spaces")
         words = ("a", "b", "c")
-        run.save_space("s.vec", EmbeddingSpace(words, np.eye(3)))
-        assert np.array_equal(run.load_space("s.vec", 3).vectors, np.eye(3))
-        assert run.load_space("s.vec", 10).n == 3 and parsed == []
+        run.keep("s.vec", save_embeddings(run.out("s.vec"), EmbeddingSpace(words, np.eye(3))), 3)
+        assert np.array_equal(run.load("s.vec", pipeline.load_embeddings, 3).vectors, np.eye(3))
+        assert parsed == []
         # fewer words than the file holds is a parse of the first ones
-        assert run.load_space("s.vec", 2).words == ("a", "b") and parsed == [("s.vec", 2)]
+        assert run.load("s.vec", pipeline.load_embeddings, 2).words == ("a", "b")
+        assert parsed == [("s.vec", 2)]
         # the same size on disk, so only the new modification time tells
         swapped = np.eye(3)[[1, 0, 2]]
         save_embeddings(run.path("s.vec"), EmbeddingSpace(words, swapped))
         st = run.path("s.vec").stat()
         os.utime(run.path("s.vec"), ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
-        assert np.array_equal(run.load_space("s.vec", 3).vectors, swapped)
+        assert np.array_equal(run.load("s.vec", pipeline.load_embeddings, 3).vectors, swapped)
         assert parsed == [("s.vec", 2), ("s.vec", 3)]
-        run.load_space("s.vec", 3)
+        run.load("s.vec", pipeline.load_embeddings, 3)
         assert parsed == [("s.vec", 2), ("s.vec", 3)]
         # a new RunDir, as each per-stage subcommand makes, parses from disk
-        assert np.array_equal(RunDir(run.root).load_space("s.vec", 3).vectors, swapped)
+        fresh = RunDir(run.root).load("s.vec", pipeline.load_embeddings, 3)
+        assert np.array_equal(fresh.vectors, swapped)
         assert parsed == [("s.vec", 2), ("s.vec", 3), ("s.vec", 3)]
 
     def test_partition_files_written_in_process_are_not_parsed(self, tmp_path, synth_dir,
@@ -467,41 +489,78 @@ class TestPipeline:
         cfg = load_config(write_config(tmp_path, synth_dir))
         run = run_pipeline(cfg, tmp_path / "kept")
         assert partition_loads == []
-        source = run.load_space("source.norm.vec", cfg.data.max_vocab)
-        target = run.load_space("target.norm.vec", cfg.data.max_vocab)
+        source, target = pipeline._load_normalized(run, cfg)
         # each kept array is what its file parses to
         for name, words in (("source_partition.tsv", source.words),
                             ("target_assignments.tsv", target.words)):
-            assert np.array_equal(run.load_assignments(name, words),
+            assert np.array_equal(run.load(name, pipeline.load_assignments, words),
                                   load_assignments(run.path(name), words))
-        centroids = run.load_matrix("source_centroids.txt")
+        centroids = run.load("source_centroids.txt", pipeline.load_matrix)
         assert centroids.tobytes() == load_matrix(run.path("source_centroids.txt")).tobytes()
         assert partition_loads == []
         # a new RunDir, as each per-stage subcommand makes, parses from disk
         fresh = RunDir(run.root)
-        fresh.load_assignments("target_assignments.tsv", target.words)
-        fresh.load_matrix("source_centroids.txt")
+        fresh.load("target_assignments.tsv", pipeline.load_assignments, target.words)
+        fresh.load("source_centroids.txt", pipeline.load_matrix)
         assert partition_loads == ["target_assignments.tsv", "source_centroids.txt"]
 
     def test_rewritten_partition_file_is_parsed_again(self, tmp_path, partition_loads):
         run = RunDir(tmp_path / "ids")
         words = ("a", "b", "c")
-        run.save_assignments("p.tsv", words, np.array([0, 1, 0]))
-        run.save_matrix("c.txt", np.eye(2))
-        assert np.array_equal(run.load_assignments("p.tsv", words), [0, 1, 0])
-        assert np.array_equal(run.load_matrix("c.txt"), np.eye(2)) and partition_loads == []
+        run.keep("p.tsv", save_assignments(run.out("p.tsv"), words, np.array([0, 1, 0])), words)
+        run.keep("c.txt", save_matrix(run.out("c.txt"), np.eye(2)))
+        assert np.array_equal(run.load("p.tsv", pipeline.load_assignments, words), [0, 1, 0])
+        assert np.array_equal(run.load("c.txt", pipeline.load_matrix), np.eye(2))
+        assert partition_loads == []
         # the same sizes on disk, so only the new modification times tell
         save_assignments(run.path("p.tsv"), words, np.array([1, 0, 1]))
         np.savetxt(run.path("c.txt"), np.eye(2)[::-1], fmt="%d", header="2 2", comments="")
         for name in ("p.tsv", "c.txt"):
             st = run.path(name).stat()
             os.utime(run.path(name), ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
-        assert np.array_equal(run.load_assignments("p.tsv", words), [1, 0, 1])
-        assert np.array_equal(run.load_matrix("c.txt"), np.eye(2)[::-1])
+        assert np.array_equal(run.load("p.tsv", pipeline.load_assignments, words), [1, 0, 1])
+        assert np.array_equal(run.load("c.txt", pipeline.load_matrix), np.eye(2)[::-1])
         assert partition_loads == ["p.tsv", "c.txt"]
-        run.load_assignments("p.tsv", words)
-        run.load_matrix("c.txt")
+        run.load("p.tsv", pipeline.load_assignments, words)
+        run.load("c.txt", pipeline.load_matrix)
         assert partition_loads == ["p.tsv", "c.txt"]
+
+    @pytest.mark.parametrize("refine_mode", ["global", "single"])
+    def test_each_stage_reads_its_inputs_through_load(self, tmp_path, synth_dir, monkeypatch,
+                                                      refine_mode):
+        cfg = load_config(write_config(tmp_path, synth_dir, refine_mode=refine_mode))
+        load, read = RunDir.load, []
+
+        def spy(run, name, parse, *args):
+            read.append(name)
+            return load(run, name, parse, *args)
+
+        monkeypatch.setattr(RunDir, "load", spy)
+        reads = {}
+        for name in stages_for(cfg):  # a new RunDir per stage, as each subcommand makes
+            read.clear()
+            run_stage(RunDir(tmp_path / "reads"), cfg, name)
+            reads[name] = sorted(set(read))
+        stages = RunDir(tmp_path / "reads").read_manifest()["stages"]
+        spaces = ["source.norm.vec", "target.norm.vec"]
+        partition = ["source_centroids.txt", "source_partition.tsv", "target_assignments.tsv"]
+
+        def mapset(subdir, count):
+            return [f"{subdir}/map_{i:03d}.txt" for i in range(count)] + [f"{subdir}/meta.json"]
+
+        if refine_mode == "single":
+            refine, final = ["single_map.txt"], mapset("final", 1)
+            expected = {"normalize": [], "single_gan": spaces, "refine": refine + spaces,
+                        "induce_dict": final + spaces, "eval": final + spaces}
+        else:
+            count = len(stages["multi_gan"]["metrics"]["lambdas"])
+            final = mapset("final", count) + partition + spaces
+            expected = {"normalize": [], "single_gan": spaces,
+                        "cluster": ["single_map.txt"] + spaces,
+                        "multi_gan": sorted(["single_map.txt"] + partition + spaces),
+                        "refine": sorted(mapset("multi", count) + partition + spaces),
+                        "induce_dict": sorted(final), "eval": sorted(final)}
+        assert reads == expected
 
     def test_single_mode_skips_clustering(self, tmp_path, synth_dir):
         cfg = load_config(write_config(tmp_path, synth_dir, refine_mode="single"))
@@ -562,9 +621,7 @@ class TestPipeline:
             assert sorted(refine["metrics"]) == ["mode", "refined_subspaces"]
         assert refine["metrics"]["mode"] == mode
         assert refine["artifacts"] == maps + ["final/meta.json"] + logs
-        source = run.load_space("source.norm.vec", cfg.data.max_vocab)
-        target = run.load_space("target.norm.vec", cfg.data.max_vocab)
-        _, _, pm = pipeline.load_final_mapping(run, source, target)
+        _, _, pm = pipeline.load_final_mapping(run, *pipeline._load_normalized(run, cfg))
         assert len(pm.maps) == count
         for m, name in zip(pm.maps, maps):
             assert np.array_equal(m.w, load_linear_map(out / name).w)
@@ -654,6 +711,8 @@ class TestPipeline:
         ("final/meta.json", ["eval-bli"], {"count": 0}),
         ("final/meta.json", ["eval-bli"], {"count": "2"}),
         ("final/meta.json", ["eval-bli"], {"count": 2.0}),
+        ("final/meta.json", ["eval-bli"], {"kind": "bogus"}),
+        ("final/meta.json", ["eval-bli"], {"kind": "single"}),
         ("manifest.json", ["pipeline"], {"stages": []}),
         ("manifest.json", ["pipeline", "--resume"], {"stages": []}),
         ("manifest.json", ["pipeline", "--resume"], {"stages": {"normalize": "ok"}}),
@@ -667,6 +726,7 @@ class TestPipeline:
             "final/meta.json-no-lambdas", "final/meta.json-lambdas-string",
             "final/meta.json-count-negative", "final/meta.json-count-zero",
             "final/meta.json-count-string", "final/meta.json-count-float",
+            "final/meta.json-kind-bogus", "final/meta.json-single-count-2",
             "manifest.json-stages-list", "manifest.json-stages-list-resume",
             "manifest.json-stage-string-resume", "manifest.json-timings-list",
             "manifest.json-artifacts-number-resume", "manifest.json-artifact-number-resume"])
@@ -842,11 +902,23 @@ class TestCliCommands:
                 assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
 
     def test_subcommand_sequence_via_cli(self, tmp_path, synth_dir):
-        cfg_path = write_config(tmp_path, synth_dir, refine_mode="single")
-        out = tmp_path / "cli_stages"
-        for cmd in ("normalize", "train-single", "refine", "induce-dict", "eval-bli"):
-            assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert (out / "report.json").exists()
+        def files(root):
+            return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*")
+                    if p.is_file() and p.name != "manifest.json"}
+
+        # each subcommand parses its inputs from disk, while `pipeline` uses
+        # the objects it kept when it wrote them: the bytes must not tell
+        for mode in ("global", "local", "single"):
+            cfg_path = write_config(tmp_path, synth_dir, refine_mode=mode)
+            auto, out = tmp_path / f"pipeline_{mode}", tmp_path / f"cli_stages_{mode}"
+            assert main(["pipeline", "--config", str(cfg_path), "--out", str(auto)]) == 0
+            for name in stages_for(load_config(cfg_path)):
+                command = pipeline.STAGES[name].command
+                assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+            assert (out / "report.json").exists()
+            assert files(out) == files(auto), mode
+            stages = manifest_without_timings(auto / "manifest.json")["stages"]
+            assert manifest_without_timings(out / "manifest.json")["stages"] == stages, mode
 
     def test_target_side_merge_same_by_pipeline_and_subcommands(self, tmp_path):
         # two far source clusters, and every target word a copy of a word

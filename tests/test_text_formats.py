@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submap import embeddings
+from submap.clustering import load_assignments, save_assignments
 from submap.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
 from submap.errors import ParseError
 from submap.mapping import LinearMap, load_linear_map, load_matrix, save_linear_map, save_matrix
@@ -107,6 +108,22 @@ def test_centroid_matrix_golden_bytes(tmp_path):
     assert back.shape == (3, 7)
     assert np.array_equal(back, m)
     assert np.array_equal(np.signbit(back), np.signbit(m))
+
+
+def test_writers_return_what_their_files_parse_to(tmp_path):
+    m = edge_matrix(6, 6, seed=3)
+    words = tuple(f"w{i}" for i in range(6))
+    written = {"map.txt": save_linear_map(tmp_path / "map.txt", LinearMap(m)).w,
+               # a transposed view: the file and the returned copy are row-major
+               "centroids.txt": save_matrix(tmp_path / "centroids.txt", m[:3].T),
+               "ids.tsv": save_assignments(tmp_path / "ids.tsv", words, [2, 0, 1, 0, 2, 1])}
+    back = {"map.txt": load_linear_map(tmp_path / "map.txt").w,
+            "centroids.txt": load_matrix(tmp_path / "centroids.txt"),
+            "ids.tsv": load_assignments(tmp_path / "ids.tsv", words)}
+    for name, kept in written.items():
+        assert kept.dtype == back[name].dtype and kept.shape == back[name].shape, name
+        assert kept.tobytes() == back[name].tobytes() and kept.flags.c_contiguous, name
+        assert not np.shares_memory(kept, m), name  # a copy: later edits of `m` leave it
 
 
 def _ties_17(g, size):
